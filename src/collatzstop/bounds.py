@@ -253,10 +253,17 @@ def stopping_number_bounds(m: int, r: int, s: int,
     return base + unit, base + Fraction(alpha) * unit
 
 
-def _record_from(s: int, r: int, digits: int) -> RatioRecord:
+def _gap_raw(s: int, r: int, digits: int) -> Decimal:
+    """log3(2) - r/s with ten guard digits beyond `digits`."""
     with localcontext() as ctx:
         ctx.prec = digits + 10
-        gap_raw = log3_2(digits + 10) - Decimal(r) / Decimal(s)
+        return log3_2(digits + 10) - Decimal(r) / Decimal(s)
+
+
+def _record_from(s: int, r: int, digits: int) -> RatioRecord:
+    gap_raw = _gap_raw(s, r, digits)
+    with localcontext() as ctx:
+        ctx.prec = digits + 10
         log10_raw = gap_raw.log10()
     with localcontext() as ctx:
         ctx.prec = digits

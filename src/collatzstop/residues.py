@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import DEFAULT_STEP_CAP, descend
+from .core import DEFAULT_STEP_CAP, descend, walk
 from .errors import DomainError, LimitError
 from .sequences import ParitySequence
 
@@ -77,40 +77,34 @@ def family_member(fam: ResidueFamily, j: int) -> int:
     return (1 << fam.s) * (3 * j + fam.k) + fam.m
 
 
-def _word_if_stops_at(m: int, s: int) -> int | None:
-    """Packed parity word if m's stopping time is exactly s, else None."""
-    v = m
-    word = 0
-    for _ in range(s):
-        if v < m:
-            return None
-        if v & 1:
-            v = (3 * v + 1) >> 1
-            word = (word << 1) | 1
-        else:
-            v >>= 1
-            word <<= 1
-    return word if v < m else None
-
-
 def enumerate_minimal(s: int, cap: int = DEFAULT_CENSUS_CAP) -> list[tuple[int, ParitySequence]]:
     """All odd m < 2^s with stopping time exactly s, with their words,
     ascending in m.
 
-    Brute force over the odd residues, each walked at most s steps, so the
-    census is its own oracle.  Empty whenever no r satisfies
-    2^(s-1) < 3^r < 2^s.  m = 1 is skipped: it never descends.
+    Brute force over the residues m = 3 mod 4, each walked at most s steps,
+    so the census is its own oracle.  No m = 1 mod 4 is ever in a census:
+    m = 1 never descends, every other one descends in exactly two steps
+    (two_step_reduce), and the only odd m below 2^2 is 1.  Empty whenever
+    no r satisfies 2^(s-1) < 3^r < 2^s.
     """
     if s < 1:
         raise DomainError(f"s must be >= 1, got {s}")
     if s > cap:
         raise LimitError(f"census of length {s} exceeds the cap {cap}")
     out = []
-    for m in range(3, 1 << s, 2):
-        word = _word_if_stops_at(m, s)
-        if word is not None:
+    for m in range(3, 1 << s, 4):
+        steps, _, _, word, _, capped = walk(m, s)
+        if steps == s and not capped:
             out.append((m, ParitySequence(format(word, "b").zfill(s))))
     return out
+
+
+def table2_row(n: int, q_cap: int = 15) -> tuple[int, str, ParitySequence | None, int]:
+    """Stopping row (n, class, q or None, value) of one n; q is None when
+    the word is longer than q_cap."""
+    s, _, _, word, value = descend(n, DEFAULT_STEP_CAP)
+    q = ParitySequence(format(word, "b").zfill(s)) if s <= q_cap else None
+    return n, f"12i+{n % 12}", q, value
 
 
 def table2_rows(max_n: int, q_cap: int = 15) -> list[tuple[int, str, ParitySequence | None, int]]:
@@ -118,10 +112,4 @@ def table2_rows(max_n: int, q_cap: int = 15) -> list[tuple[int, str, ParitySeque
     12i+3 / 12i+7 / 12i+11"""
     if max_n < 3:
         raise DomainError(f"max_n must be >= 3, got {max_n}")
-    rows = []
-    for res in (3, 7, 11):
-        for n in range(res, max_n + 1, 12):
-            s, _, _, word, value = descend(n, DEFAULT_STEP_CAP)
-            q = ParitySequence(format(word, "b").zfill(s)) if s <= q_cap else None
-            rows.append((n, f"12i+{res}", q, value))
-    return rows
+    return [table2_row(n, q_cap) for res in (3, 7, 11) for n in range(res, max_n + 1, 12)]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
-from .core import StoppingRecord
+from .core import StoppingRecord, walk as _scan_one  # walks every scanned and verified row
 from .errors import CheckpointError, DomainError
 from .sequences import ParitySequence, lower_unit_numerator, weighted_sum
 
@@ -94,25 +94,6 @@ class CappedWalk:
     r: int
     q_prefix: ParitySequence
     last_value: int
-
-
-def _scan_one(n: int, cap: int) -> tuple[int, int, int, int, int, bool]:
-    """(s, r, w, word, value, capped) for one start; never raises."""
-    v = n
-    s = r = w = word = 0
-    while v >= n:
-        if s >= cap:
-            return s, r, w, word, v, True
-        if v & 1:
-            w = 3 * w + (1 << s)
-            v = (3 * v + 1) >> 1
-            word = (word << 1) | 1
-            r += 1
-        else:
-            v >>= 1
-            word <<= 1
-        s += 1
-    return s, r, w, word, v, False
 
 
 def _chunk_starts(lo: int, hi: int, residue: int | None) -> range:
@@ -227,22 +208,6 @@ class CheckpointState:
     stats: ScanStats
     out_bytes: int
 
-    def next_start(self, cfg: ScanConfig) -> int | None:
-        """First unscanned position, or None when the scan is complete."""
-        if not self.completed:
-            return cfg.start
-        last_hi = self.completed[-1][1]
-        return last_hi + 1 if last_hi < cfg.end else None
-
-    def remaining_config(self, cfg: ScanConfig) -> ScanConfig | None:
-        start = self.next_start(cfg)
-        if start is None:
-            return None
-        return ScanConfig(start=start, end=cfg.end, class_filter=cfg.class_filter,
-                          step_cap=cfg.step_cap, workers=cfg.workers,
-                          checkpoint_path=cfg.checkpoint_path,
-                          chunk_size=cfg.chunk_size)
-
 
 def checkpoint_save(path: str, config_hash: str, chunk: tuple[int, int],
                     stats: ScanStats, out_bytes: int) -> None:
@@ -332,6 +297,12 @@ def run_scan(cfg: ScanConfig, out_path: str, header: str,
             raise CheckpointError(
                 f"checkpoint {cfg.checkpoint_path!r} exists but output {out_path!r} "
                 "is missing; delete the checkpoint to start fresh")
+        have = os.path.getsize(out_path)
+        if have < state.out_bytes:
+            raise CheckpointError(
+                f"output {out_path!r} has {have} bytes but checkpoint "
+                f"{cfg.checkpoint_path!r} records {state.out_bytes}; delete the "
+                "checkpoint to start fresh")
         done_chunks = len(state.completed)
         stats = state.stats
         out = open(out_path, "r+b")

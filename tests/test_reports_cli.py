@@ -184,6 +184,26 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_table3_over_cap_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "t3.csv"
+    assert main(["table3", "--s-max", "30", "--out", str(out)]) == 2
+    assert "exceeds the cap" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("build,bad_row", [
+    (lambda: table1_report(3), "x,0,2,1,3,7,11,1r"),   # non-integer key cell
+    (lambda: table4_report(2000, 50), "485"),           # row cut short
+])
+def test_cli_verify_malformed_row(tmp_path, capsys, build, bad_row):
+    path = tmp_path / "bad.csv"
+    lines = csv_text(build()).splitlines()
+    lines[2] = bad_row
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}:3: ")
+
+
 def test_cli_table3_csv(capsys):
     assert main(["table3", "--s-min", "4", "--s-max", "5"]) == 0
     out = capsys.readouterr().out.splitlines()

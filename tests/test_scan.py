@@ -8,6 +8,7 @@ from collatzstop import (
     StoppingRecord, checkpoint_resume, empirical_alpha, scan_collect,
     scan_range, stopping_record,
 )
+from collatzstop.cli import main
 from collatzstop.reports import scan_to_csv
 
 
@@ -117,7 +118,7 @@ def test_scan_resume_byte_identical(tmp_path):
     assert not done
     state = checkpoint_resume(str(ck))
     assert len(state.completed) == 3
-    assert state.next_start(ScanConfig(**cfg)) == 3002
+    assert state.completed[-1] == (2002, 3001)
 
     stats2, done2 = scan_to_csv("scan", ScanConfig(**cfg, checkpoint_path=str(ck)), str(part))
     assert done2
@@ -141,6 +142,19 @@ def test_resume_truncates_partial_tail(tmp_path):
         fh.write(b"999999,torn row")  # unclean stop wrote garbage past the ledger
     scan_to_csv("scan", ScanConfig(**cfg, checkpoint_path=str(ck)), str(part))
     assert _csv_bytes(part) == _csv_bytes(whole)
+
+
+def test_resume_refuses_short_output(tmp_path, capsys):
+    out, ck = tmp_path / "s.csv", tmp_path / "s.ck"
+    argv = ["scan", "--end", "5000", "--chunk-size", "1000",
+            "--out", str(out), "--checkpoint", str(ck)]
+    assert main(argv + ["--max-chunks", "2"]) == 0
+    with open(out, "r+b") as fh:
+        fh.truncate(3000)  # lost the tail the ledger vouches for
+    assert main(argv) == 3
+    assert "checkpoint error" in capsys.readouterr().err
+    assert out.stat().st_size == 3000
+    assert b"\0" not in out.read_bytes()
 
 
 def test_resume_rejects_mismatched_config(tmp_path):
