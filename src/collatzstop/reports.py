@@ -1,14 +1,19 @@
 """Report builders, CSV/JSON rendering, and the row-by-row verify mode.
 
-Rendering rules, fixed so repeated runs are byte-identical:
+A row function returns typed cells: an int for every integer column, a str
+for everything else (words, classes, marks, rationals, decimals).  The CSV
+line is `csv_line(row)`, the cells joined by commas; a JSON object maps
+each header name to its cell, so a JSON value is a number exactly when the
+cell is an int.  Rendering rules, fixed so repeated runs are byte-identical:
   * integers and {1,0} words are written verbatim;
   * exact rationals are written as p/q (plain p when the denominator is 1);
   * approximate values (ratios meant for plotting, gap logarithms) are
     written as plain decimals with exactly 15 significant digits;
   * fields never need quoting, the separator is a comma, newline is LF.
 
-Every CSV row is self-contained, so `verify` can re-derive and re-render
-each row from its own key columns and fail on any byte difference.
+Every CSV row is self-contained, so `verify` can re-derive each row from
+its own key columns with the same row function, render it with the same
+`csv_line`, and fail on any byte difference.
 """
 
 from __future__ import annotations
@@ -32,23 +37,23 @@ from .sequences import (ParitySequence, apply_closed_form, is_parity_prefix,
 SIG_DIGITS = 15
 
 
-def render_sig(d: Decimal, sig: int = SIG_DIGITS) -> str:
-    """Plain decimal string with exactly `sig` significant digits."""
+def render_sig(d: Decimal) -> str:
+    """Plain decimal string with exactly SIG_DIGITS significant digits."""
     if d == 0:
         return "0"
     with localcontext() as ctx:
-        ctx.prec = sig
+        ctx.prec = SIG_DIGITS
         d = +d
-        d = d.quantize(Decimal((0, (1,), d.adjusted() - (sig - 1))))
+        d = d.quantize(Decimal((0, (1,), d.adjusted() - (SIG_DIGITS - 1))))
     return format(d, "f")
 
 
-def render_ratio(num: int, den: int, sig: int = SIG_DIGITS) -> str:
-    """num/den as a `sig`-digit plain decimal."""
+def render_ratio(num: int, den: int) -> str:
+    """num/den as a SIG_DIGITS-digit plain decimal."""
     with localcontext() as ctx:
-        ctx.prec = sig + 10
+        ctx.prec = SIG_DIGITS + 10
         d = Decimal(num) / Decimal(den)
-    return render_sig(d, sig)
+    return render_sig(d)
 
 
 def render_rational(f: Fraction) -> str:
@@ -58,17 +63,22 @@ def render_rational(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+Row = list[int | str]
+
+
 @dataclass
 class Report:
-    """A header, per-column kinds for JSON typing, and rendered rows."""
+    """A CSV header and rows of typed cells."""
 
-    name: str
-    columns: tuple[tuple[str, str], ...]  # (column name, kind: int|str|dec|rat)
-    rows: Iterable[list[str]]
+    header: str
+    rows: Iterable[Row]
 
-    @property
-    def header(self) -> str:
-        return ",".join(name for name, _ in self.columns)
+
+def csv_line(row: Row) -> str:
+    """The CSV line of one row, without its newline: each cell as str() renders it."""
+    # an f-string renders like str() but skips map's generic call of the str type,
+    # which took twice as long per cell on CPython 3.11
+    return ",".join([f"{cell}" for cell in row])
 
 
 def write_csv(report: Report, fh) -> int:
@@ -76,18 +86,17 @@ def write_csv(report: Report, fh) -> int:
     fh.write((report.header + "\n").encode("ascii"))
     count = 0
     for row in report.rows:
-        fh.write((",".join(row) + "\n").encode("ascii"))
+        fh.write((csv_line(row) + "\n").encode("ascii"))
         count += 1
     return count
 
 
 def write_jsonl(report: Report, fh) -> int:
-    """One JSON object per row; int columns become numbers, the rest strings."""
+    """One JSON object per row; int cells become numbers, str cells strings."""
+    names = report.header.split(",")
     count = 0
     for row in report.rows:
-        obj = {}
-        for (name, kind), cell in zip(report.columns, row):
-            obj[name] = int(cell) if kind == "int" and cell != "" else cell
+        obj = dict(zip(names, row))
         fh.write((json.dumps(obj, separators=(",", ":")) + "\n").encode("ascii"))
         count += 1
     return count
@@ -95,16 +104,13 @@ def write_jsonl(report: Report, fh) -> int:
 
 # ---------------------------------------------------------------- table 1
 
-_TABLE1_COLUMNS = (("i", "int"), ("3i", "int"), ("3i+2", "int"), ("3i+1", "int"),
-                   ("12i+3", "int"), ("12i+7", "int"), ("12i+11", "int"),
-                   ("marks", "str"))
+_TABLE1_HEADER = "i,3i,3i+2,3i+1,12i+3,12i+7,12i+11,marks"
 
 
-def _table1_row(i: int) -> list[str]:
+def _table1_row(i: int) -> Row:
     trio = (3 * i, 3 * i + 2, 3 * i + 1)
     marks = " ".join(f"{v}{'r' if v % 4 == 1 else 'b'}" for v in trio if v & 1)
-    return [str(i), str(trio[0]), str(trio[1]), str(trio[2]),
-            str(12 * i + 3), str(12 * i + 7), str(12 * i + 11), marks]
+    return [i, *trio, 12 * i + 3, 12 * i + 7, 12 * i + 11, marks]
 
 
 def table1_report(rows: int) -> Report:
@@ -113,37 +119,33 @@ def table1_report(rows: int) -> Report:
     four or more)."""
     if rows < 1:
         raise DomainError(f"rows must be >= 1, got {rows}")
-    return Report("table1", _TABLE1_COLUMNS, [_table1_row(i) for i in range(rows)])
+    return Report(_TABLE1_HEADER, [_table1_row(i) for i in range(rows)])
 
 
 # ---------------------------------------------------------------- table 2
 
-_TABLE2_COLUMNS = (("n", "int"), ("q", "str"), ("F", "int"))
+_TABLE2_HEADER = "n,q,F"
 
 
-def _table2_row(row: tuple[int, str, ParitySequence | None, int]) -> list[str]:
+def _table2_row(row: tuple[int, str, ParitySequence | None, int]) -> Row:
     n, _, q, value = row
-    return [str(n), q.bits if q else "", str(value)]
+    return [n, q.bits if q else "", value]
 
 
 def table2_report(max_n: int, q_cap: int = 15) -> Report:
     """Stopping rows for every n <= max_n in 12i+3, then 12i+7, then 12i+11;
     the word is left blank when longer than q_cap."""
-    return Report("table2", _TABLE2_COLUMNS,
-                  [_table2_row(row) for row in res.table2_rows(max_n, q_cap)])
+    return Report(_TABLE2_HEADER, [_table2_row(row) for row in res.table2_rows(max_n, q_cap)])
 
 
 # ---------------------------------------------------------------- table 3
 
-_TABLE3_COLUMNS = (("s", "int"), ("r", "int"), ("3r", "int"), ("2s", "int"),
-                   ("3^r", "int"), ("2^s", "int"), ("class", "str"),
-                   ("m", "int"), ("q", "str"))
+_TABLE3_HEADER = "s,r,3r,2s,3^r,2^s,class,m,q"
 
 
-def _table3_row(s: int, m: int, q: ParitySequence) -> list[str]:
+def _table3_row(s: int, m: int, q: ParitySequence) -> Row:
     r = q.r
-    return [str(s), str(r), str(3 * r), str(2 * s), str(3 ** r), str(1 << s),
-            f"12i+{m % 12}", str(m), q.bits]
+    return [s, r, 3 * r, 2 * s, 3 ** r, 1 << s, f"12i+{m % 12}", m, q.bits]
 
 
 def table3_report(s_min: int, s_max: int, cap: int = res.DEFAULT_CENSUS_CAP) -> Report:
@@ -157,101 +159,94 @@ def table3_report(s_min: int, s_max: int, cap: int = res.DEFAULT_CENSUS_CAP) -> 
     if s_max > cap:
         raise LimitError(f"census of length {s_max} exceeds the cap {cap}")
 
-    def rows() -> Iterator[list[str]]:
+    def rows() -> Iterator[Row]:
         for s in range(s_min, s_max + 1):
             # sorting is stable, so m stays ascending within each class
             for m, q in sorted(res.enumerate_minimal(s, cap), key=lambda mq: mq[0] % 12):
                 yield _table3_row(s, m, q)
 
-    return Report("table3", _TABLE3_COLUMNS, rows())
+    return Report(_TABLE3_HEADER, rows())
 
 
 # ---------------------------------------------------------------- table 4
 
-_TABLE4_COLUMNS = (("s", "int"), ("r", "int"), ("lower", "dec"), ("ratio", "dec"),
-                   ("log3_2", "dec"), ("log10_gap", "dec"))
+_TABLE4_HEADER = "s,r,lower,ratio,log3_2,log10_gap"
 
 
-def _table4_row(s: int, r: int, gap: Decimal, digits: int) -> list[str]:
+def _table4_row(s: int, r: int, digits: int) -> Row:
+    gap = bnd._gap_raw(s, r, digits)
+    if gap <= 0:
+        raise DomainError(f"r/s = {r}/{s} is not below log3(2)")
     with localcontext() as ctx:
         ctx.prec = digits
-        gap = +gap  # rounds a guard-digit gap; a record's gap is already rounded
+        gap = +gap  # the record's gap: log3(2) - r/s rounded to `digits`
         l32 = bnd.log3_2(digits)
         lower = l32 * (s - 1) / s
         ratio = Decimal(r) / Decimal(s)
         log10_gap = gap.log10()
-    return [str(s), str(r), render_sig(lower), render_sig(ratio),
-            render_sig(l32), render_sig(log10_gap)]
+    return [s, r, render_sig(lower), render_sig(ratio), render_sig(l32), render_sig(log10_gap)]
 
 
 def table4_report(s_max: int, digits: int | None = None,
                   s_min: int = bnd.DEFAULT_RECORDS_START) -> Report:
     digits = bnd.default_digits() if digits is None else digits
     records = bnd.ratio_records(s_min, s_max, digits)
-    rows = [_table4_row(rec.s, rec.r, rec.gap, digits) for rec in records]
-    return Report("table4", _TABLE4_COLUMNS, rows)
+    return Report(_TABLE4_HEADER, [_table4_row(rec.s, rec.r, digits) for rec in records])
 
 
 # ---------------------------------------------------------------- cycles
 
-_CYCLES_COLUMNS = (("s", "int"), ("r", "int"), ("q", "str"), ("numerator", "int"),
-                   ("denominator", "int"), ("m1", "rat"), ("alpha", "rat"),
-                   ("m1_upper", "rat"))
+_CYCLES_HEADER = "s,r,q,numerator,denominator,m1,alpha,m1_upper"
 
 
-def _cycles_row(cand: bnd.CycleCandidate, alpha: Fraction) -> list[str]:
+def _cycles_row(cand: bnd.CycleCandidate, alpha: Fraction) -> Row:
     upper = bnd.cycle_upper_bound(cand.q.r, cand.q.s, alpha)
-    return [str(cand.q.s), str(cand.q.r), cand.q.bits, str(cand.numerator),
-            str(cand.denominator), render_rational(cand.m1),
-            render_rational(alpha), render_rational(upper)]
+    return [cand.q.s, cand.q.r, cand.q.bits, cand.numerator, cand.denominator,
+            render_rational(cand.m1), render_rational(alpha), render_rational(upper)]
 
 
 def cycles_report(s_max: int, alpha: Fraction | int = 40,
                   cap: int = bnd.DEFAULT_CYCLE_CAP) -> Report:
     alpha = Fraction(alpha)
-    return Report("cycles", _CYCLES_COLUMNS,
-                  [_cycles_row(cand, alpha)
-                   for cand in bnd.enumerate_cycle_candidates(s_max, cap)])
+    return Report(_CYCLES_HEADER, [_cycles_row(cand, alpha)
+                                   for cand in bnd.enumerate_cycle_candidates(s_max, cap)])
 
 
 # ---------------------------------------------------------------- bounds
 
-_BOUNDS_COLUMNS = (("r", "int"), ("s", "int"), ("alpha", "rat"), ("pow_ratio", "dec"),
-                   ("m1_upper", "dec"), ("m1_lower", "dec"), ("lower_positive", "int"))
+_BOUNDS_HEADER = "r,s,alpha,pow_ratio,m1_upper,m1_lower,lower_positive"
 
 
-def _bounds_row(r: int, alpha: Fraction, digits: int) -> list[str]:
+def _bounds_row(r: int, alpha: Fraction, digits: int) -> Row:
     s = bnd.unique_s_for_r(r)
     upper = bnd.cycle_upper_bound(r, s, alpha)
     lower = bnd.cycle_lower_bound(r, s, digits)
-    return [str(r), str(s), render_rational(alpha),
-            render_ratio(3 ** r, 1 << s),
-            render_ratio(upper.numerator, upper.denominator),
-            render_sig(lower), "1" if lower > 0 else "0"]
+    return [r, s, render_rational(alpha), render_ratio(3 ** r, 1 << s),
+            render_ratio(upper.numerator, upper.denominator), render_sig(lower),
+            int(lower > 0)]
 
 
 def bounds_report(r_max: int, alpha: Fraction | int = 40,
                   digits: int | None = None) -> Report:
-    """Cycle-number bound curves for r = 1 .. r_max at each r's unique s."""
+    """Cycle-number bound curves for r = 1 .. r_max at each r's unique s.
+
+    The arguments are checked before any row is built, so nothing is
+    written for a report that cannot complete.
+    """
     if r_max < 1:
         raise DomainError(f"r must be >= 1, got {r_max}")
     digits = bnd.default_digits() if digits is None else digits
+    if digits < 1:
+        raise DomainError(f"digits must be >= 1, got {digits}")
     alpha = Fraction(alpha)
-    return Report("bounds", _BOUNDS_COLUMNS,
-                  (_bounds_row(r, alpha, digits) for r in range(1, r_max + 1)))
+    return Report(_BOUNDS_HEADER, (_bounds_row(r, alpha, digits) for r in range(1, r_max + 1)))
 
 
 # ---------------------------------------------------------------- scans
 
-_SCAN_COLUMNS = (("n", "int"), ("class", "str"), ("s", "int"), ("r", "int"),
-                 ("q", "str"), ("value", "int"), ("capped", "int"))
-
-_FIG2_COLUMNS = (("n", "int"), ("s", "int"), ("r", "int"), ("r_over_s", "dec"),
-                 ("pow_ratio", "dec"))
-
-_FIG3_COLUMNS = (("m", "int"), ("s", "int"), ("r", "int"), ("pow_ratio", "dec"),
-                 ("sigma", "dec"), ("lower_unit", "dec"), ("alpha_ratio", "dec"),
-                 ("F_over_m", "dec"))
+_SCAN_HEADER = "n,class,s,r,q,value,capped"
+_FIG2_HEADER = "n,s,r,r_over_s,pow_ratio"
+_FIG3_HEADER = "m,s,r,pow_ratio,sigma,lower_unit,alpha_ratio,F_over_m"
 
 
 def _class_cell(n: int) -> str:
@@ -286,66 +281,60 @@ def format_fig3_row(row: tuple) -> str | None:
                      render_ratio(v, n)))
 
 
+# kind -> (header, formatter); the formatters are the scan hot path, so each
+# builds its line directly from a raw row instead of going through csv_line
 _SCAN_KINDS: dict[str, tuple] = {
-    "scan": (_SCAN_COLUMNS, format_scan_row),
-    "fig2": (_FIG2_COLUMNS, format_fig2_row),
-    "fig3": (_FIG3_COLUMNS, format_fig3_row),
+    "scan": (_SCAN_HEADER, format_scan_row),
+    "fig2": (_FIG2_HEADER, format_fig2_row),
+    "fig3": (_FIG3_HEADER, format_fig3_row),
 }
 
 
 def scan_to_csv(kind: str, cfg: scn.ScanConfig, out_path: str,
                 max_chunks: int | None = None) -> tuple[scn.ScanStats, bool]:
     """Run a checkpointed scan writing one of the scan-backed schemas."""
-    columns, formatter = _SCAN_KINDS[kind]
-    header = ",".join(name for name, _ in columns)
+    header, formatter = _SCAN_KINDS[kind]
     return scn.run_scan(cfg, out_path, header, formatter, max_chunks)
 
 
 # ---------------------------------------------------------------- single records
 
-_STOP_COLUMNS = (("n", "int"), ("s", "int"), ("r", "int"), ("q", "str"),
-                 ("value", "int"))
-
-_TRAJ_COLUMNS = (("n", "int"), ("step", "int"), ("value", "int"), ("parity", "int"))
-
-_SEQ_COLUMNS = (("q", "str"), ("s", "int"), ("r", "int"), ("weighted_sum", "int"),
-                ("sigma", "rat"))
-
-_SEQ_APPLY_COLUMNS = _SEQ_COLUMNS + (("n", "int"), ("value", "rat"),
-                                     ("exact", "int"), ("prefix_match", "int"))
+_STOP_HEADER = "n,s,r,q,value"
+_TRAJ_HEADER = "n,step,value,parity"
+_SEQ_HEADER = "q,s,r,weighted_sum,sigma"
+_SEQ_APPLY_HEADER = _SEQ_HEADER + ",n,value,exact,prefix_match"
 
 
-def _stop_row(n: int, step_cap: int) -> list[str]:
+def _stop_row(n: int, step_cap: int) -> Row:
     rec = stopping_record(n, step_cap)
-    return [str(rec.n), str(rec.s), str(rec.r), rec.q.bits, str(rec.value)]
+    return [rec.n, rec.s, rec.r, rec.q.bits, rec.value]
 
 
 def stop_report(n: int, step_cap: int = DEFAULT_STEP_CAP) -> Report:
-    return Report("stop", _STOP_COLUMNS, [_stop_row(n, step_cap)])
+    return Report(_STOP_HEADER, [_stop_row(n, step_cap)])
 
 
-def _traj_rows(n: int, steps: Iterable[tuple[int, int]]) -> Iterator[list[str]]:
-    return ([str(n), str(i), str(v), str(b)] for i, (v, b) in enumerate(steps, 1))
+def _traj_rows(n: int, steps: Iterable[tuple[int, int]]) -> Iterator[Row]:
+    return ([n, i, v, b] for i, (v, b) in enumerate(steps, 1))
 
 
 def traj_report(n: int, limit: int) -> Report:
-    return Report("traj", _TRAJ_COLUMNS, list(_traj_rows(n, trajectory(n, limit))))
+    return Report(_TRAJ_HEADER, list(_traj_rows(n, trajectory(n, limit))))
 
 
-def _seq_row(text: str, apply_n: int | None) -> list[str]:
+def _seq_row(text: str, apply_n: int | None) -> Row:
     q = parse_sequence(text)
-    row = [q.bits, str(q.s), str(q.r), str(weighted_sum(q)), render_rational(sigma(q))]
+    row = [q.bits, q.s, q.r, weighted_sum(q), render_rational(sigma(q))]
     if apply_n is None:
         return row
     out = apply_closed_form(q, apply_n)
-    return row + [str(apply_n), render_rational(out.value),
-                  "1" if out.exact else "0",
-                  "1" if is_parity_prefix(q, apply_n) else "0"]
+    return row + [apply_n, render_rational(out.value), int(out.exact),
+                  int(is_parity_prefix(q, apply_n))]
 
 
 def seq_report(text: str, apply_n: int | None = None) -> Report:
-    columns = _SEQ_COLUMNS if apply_n is None else _SEQ_APPLY_COLUMNS
-    return Report("seq", columns, [_seq_row(text, apply_n)])
+    return Report(_SEQ_HEADER if apply_n is None else _SEQ_APPLY_HEADER,
+                  [_seq_row(text, apply_n)])
 
 
 # ---------------------------------------------------------------- verify
@@ -360,14 +349,16 @@ def _walk_row(n: int, s: int) -> tuple:
     return (n, *scn._scan_one(n, s))
 
 
-def _scan_kind_row(kind: str, n: int, s: int) -> list[str]:
+def _scan_kind_line(kind: str, n: int, s: int) -> str:
     line = _SCAN_KINDS[kind][1](_walk_row(n, s))
     if line is None:
         raise DomainError(f"row for {n} should not appear in {kind}")
-    return line.split(",")
+    return line
 
 
-def _table3_check(s: int, m: int) -> list[str]:
+def _table3_check(s: int, m: int) -> Row:
+    if m % 2 == 0 or m < 3 or m.bit_length() > s:
+        raise DomainError(f"m = {m} is not an odd residue with 1 < m < 2^{s}")
     _, steps, _, _, word, _, capped = _walk_row(m, s)
     if steps != s or capped:
         raise DomainError(f"{m} does not stop in exactly {s} steps")
@@ -379,7 +370,8 @@ def verify_csv(path: str, digits: int | None = None, q_cap: int = 15) -> int:
 
     Streams the file and returns the number of verified rows; raises
     VerifyError naming the file and line on the first row that does not
-    parse or does not match.  Each row is re-derived from its own key cells;
+    parse or whose line differs from the re-derived row's `csv_line`.  Each
+    row is re-derived from its own key cells;
     traj rows must instead follow the walk from the first row's n, step
     1, 2, 3, ..., and may not go past the point where it reaches 1.  A traj
     file that stops early still verifies, since `traj --limit` writes one.
@@ -387,9 +379,9 @@ def verify_csv(path: str, digits: int | None = None, q_cap: int = 15) -> int:
     values, which must match the producing run.
     """
     digits = bnd.default_digits() if digits is None else digits
-    traj_walk: Iterator[list[str]] | None = None  # traj only: the rows still expected
+    traj_walk: Iterator[Row] | None = None  # traj only: the rows still expected
 
-    def traj_row(c: list[str]) -> list[str]:
+    def traj_row(c: list[str]) -> Row:
         nonlocal traj_walk
         if traj_walk is None:
             n = int(c[0])
@@ -399,41 +391,41 @@ def verify_csv(path: str, digits: int | None = None, q_cap: int = 15) -> int:
             raise DomainError(f"the walk from {c[0]} has already reached 1")
         return want
 
-    rederive = [  # (columns, key cells -> expected row)
-        (_TABLE1_COLUMNS, lambda c: _table1_row(int(c[0]))),
-        (_TABLE2_COLUMNS, lambda c: _table2_row(res.table2_row(int(c[0]), q_cap))),
-        (_TABLE3_COLUMNS, lambda c: _table3_check(int(c[0]), int(c[7]))),
-        (_TABLE4_COLUMNS, lambda c: _table4_row(
-            int(c[0]), int(c[1]), bnd._gap_raw(int(c[0]), int(c[1]), digits), digits)),
-        (_CYCLES_COLUMNS, lambda c: _cycles_row(
-            bnd.cycle_candidate(parse_sequence(c[2])), Fraction(c[6]))),
-        (_BOUNDS_COLUMNS, lambda c: _bounds_row(int(c[0]), Fraction(c[2]), digits)),
-        (_SCAN_COLUMNS, lambda c: _scan_kind_row("scan", int(c[0]), int(c[2]))),
-        (_FIG2_COLUMNS, lambda c: _scan_kind_row("fig2", int(c[0]), int(c[1]))),
-        (_FIG3_COLUMNS, lambda c: _scan_kind_row("fig3", int(c[0]), int(c[1]))),
-        (_STOP_COLUMNS, lambda c: _stop_row(int(c[0]), DEFAULT_STEP_CAP)),
-        (_TRAJ_COLUMNS, traj_row),
-        (_SEQ_COLUMNS, lambda c: _seq_row(c[0], None)),
-        (_SEQ_APPLY_COLUMNS, lambda c: _seq_row(c[0], int(c[5]))),
-    ]
+    rederive = {  # header -> key cells -> expected row, or line for the scan kinds
+        _TABLE1_HEADER: lambda c: _table1_row(int(c[0])),
+        _TABLE2_HEADER: lambda c: _table2_row(res.table2_row(int(c[0]), q_cap)),
+        _TABLE3_HEADER: lambda c: _table3_check(int(c[0]), int(c[7])),
+        _TABLE4_HEADER: lambda c: _table4_row(int(c[0]), int(c[1]), digits),
+        _CYCLES_HEADER: lambda c: _cycles_row(
+            bnd.cycle_candidate(parse_sequence(c[2])), Fraction(c[6])),
+        _BOUNDS_HEADER: lambda c: _bounds_row(int(c[0]), Fraction(c[2]), digits),
+        _SCAN_HEADER: lambda c: _scan_kind_line("scan", int(c[0]), int(c[2])),
+        _FIG2_HEADER: lambda c: _scan_kind_line("fig2", int(c[0]), int(c[1])),
+        _FIG3_HEADER: lambda c: _scan_kind_line("fig3", int(c[0]), int(c[1])),
+        _STOP_HEADER: lambda c: _stop_row(int(c[0]), DEFAULT_STEP_CAP),
+        _TRAJ_HEADER: traj_row,
+        _SEQ_HEADER: lambda c: _seq_row(c[0], None),
+        _SEQ_APPLY_HEADER: lambda c: _seq_row(c[0], int(c[5])),
+    }
     # undecodable bytes stay in their cells, so they fail on their own line
     with open(path, encoding="ascii", errors="surrogateescape") as fh:
         header = fh.readline()
         if not header:
             raise VerifyError(f"{path}: empty file")
         header = header.rstrip("\n")
-        row_of = next((fn for columns, fn in rederive
-                       if header == ",".join(name for name, _ in columns)), None)
+        row_of = rederive.get(header)
         if row_of is None:
             raise VerifyError(f"{path}: unrecognized header {header!r}")
         count = 0
         for line_no, line in enumerate(fh, 2):
-            got = line.rstrip("\n").split(",")
+            got = line.rstrip("\n")
             try:
-                want = row_of(got)
+                want = row_of(got.split(","))
             except (ValueError, IndexError, ArithmeticError, LimitError) as exc:
                 raise VerifyError(f"{path}:{line_no}: cannot re-derive row {got!r}: "
                                   f"{exc}") from None
+            if not isinstance(want, str):
+                want = csv_line(want)
             if got != want:
                 raise VerifyError(f"{path}:{line_no}: row {got!r} does not re-derive; "
                                   f"expected {want!r}")

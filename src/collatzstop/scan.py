@@ -207,6 +207,7 @@ class CheckpointState:
     completed: list[tuple[int, int]]
     stats: ScanStats
     out_bytes: int
+    torn_bytes: int = 0  # length of a final ledger line that lacks its newline
 
 
 def checkpoint_save(path: str, config_hash: str, chunk: tuple[int, int],
@@ -228,21 +229,30 @@ def checkpoint_save(path: str, config_hash: str, chunk: tuple[int, int],
 
 
 def checkpoint_resume(path: str) -> CheckpointState:
-    """Parse a checkpoint ledger back into resumable state."""
+    """Parse a checkpoint ledger back into resumable state.
+
+    A final line without its newline is an append torn by a crash: it is
+    left out of the state and its length is reported as torn_bytes.  The
+    file itself is not changed.
+    """
     try:
-        with open(path, encoding="ascii") as fh:
-            lines = fh.read().splitlines()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise CheckpointError(
             f"cannot read checkpoint {path!r}: {exc}; delete the --checkpoint "
             "argument to start fresh") from exc
+    # one character per byte, so the torn tail's length is its length on disk
+    lines = data.decode("ascii", errors="surrogateescape").split("\n")
+    torn = lines.pop()  # "" unless the last append was torn
     if not lines:
         raise CheckpointError(f"checkpoint {path!r} is empty; delete it to start fresh")
     head = lines[0].split()
     if len(head) != 3 or head[0] != CHECKPOINT_MAGIC or head[1] != f"v{CHECKPOINT_VERSION}":
         raise CheckpointError(f"checkpoint {path!r} has an unrecognized header; "
                               "delete it to start fresh")
-    state = CheckpointState(config_hash=head[2], completed=[], stats=ScanStats(), out_bytes=0)
+    state = CheckpointState(config_hash=head[2], completed=[], stats=ScanStats(),
+                            out_bytes=0, torn_bytes=len(torn))
     prev_hi = None
     for ln in lines[1:]:
         parts = ln.split(",")
@@ -303,13 +313,17 @@ def run_scan(cfg: ScanConfig, out_path: str, header: str,
                 f"output {out_path!r} has {have} bytes but checkpoint "
                 f"{cfg.checkpoint_path!r} records {state.out_bytes}; delete the "
                 "checkpoint to start fresh")
+        if state.torn_bytes:  # cut the torn append, so its chunk is redone
+            os.truncate(cfg.checkpoint_path,
+                        os.path.getsize(cfg.checkpoint_path) - state.torn_bytes)
         done_chunks = len(state.completed)
         stats = state.stats
+    if done_chunks:
         out = open(out_path, "r+b")
         out.truncate(state.out_bytes)  # drop any partial tail from an unclean stop
         out.seek(state.out_bytes)
         out_bytes = state.out_bytes
-    else:
+    else:  # no chunk is on the ledger yet, so the output starts over
         out = open(out_path, "wb")
         out_bytes = out.write((header + "\n").encode("ascii"))
 

@@ -204,6 +204,34 @@ def test_cli_verify_malformed_row(tmp_path, capsys, build, bad_row):
     assert capsys.readouterr().err.startswith(f"error: {path}:3: ")
 
 
+def test_cli_bounds_bad_digits_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "b.csv"
+    assert main(["bounds", "--r", "5", "--digits", "0", "--out", str(out)]) == 2
+    assert "digits must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_verify_table3_row_outside_census(tmp_path, capsys):
+    # 19 stops in 4 steps with word 1100, but the census of length 4 has m < 16
+    path = tmp_path / "t3.csv"
+    path.write_text("s,r,3r,2s,3^r,2^s,class,m,q\n4,2,6,8,9,16,12i+7,19,1100\n")
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:2: ")
+    assert "m = 19 is not an odd residue with 1 < m < 2^4" in err
+
+
+def test_cli_verify_table4_ratio_above_log3_2(tmp_path, capsys):
+    path = tmp_path / "t4.csv"
+    lines = csv_text(table4_report(2000, 50)).splitlines()
+    lines[1] = lines[1].replace("485,306,", "485,1306,", 1)
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["verify", str(path), "--digits", "50"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:2: ")
+    assert "r/s = 1306/485 is not below log3(2)" in err
+
+
 def test_cli_table3_csv(capsys):
     assert main(["table3", "--s-min", "4", "--s-max", "5"]) == 0
     out = capsys.readouterr().out.splitlines()

@@ -157,6 +157,39 @@ def test_resume_refuses_short_output(tmp_path, capsys):
     assert b"\0" not in out.read_bytes()
 
 
+@pytest.mark.parametrize("done", [1, 2])  # with 1, the torn line was the ledger's first
+def test_resume_drops_torn_ledger_line(tmp_path, capsys, done):
+    whole = tmp_path / "whole.csv"
+    assert main(["scan", "--end", "3000", "--chunk-size", "1000", "--out", str(whole)]) == 0
+    want_summary = capsys.readouterr().out
+
+    out, ck = tmp_path / "w.csv", tmp_path / "w.ck"
+    argv = ["scan", "--end", "3000", "--chunk-size", "1000",
+            "--out", str(out), "--checkpoint", str(ck)]
+    assert main(argv + ["--max-chunks", str(done)]) == 0
+    capsys.readouterr()
+    os.truncate(ck, ck.stat().st_size - 3)  # a crash cut the last append short
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want_summary
+    assert out.read_bytes() == whole.read_bytes()
+    assert ck.read_text().endswith("\n")
+    assert len(checkpoint_resume(str(ck)).completed) == 3
+
+
+def test_rejected_resume_leaves_torn_ledger_alone(tmp_path):
+    out, ck = tmp_path / "t.csv", tmp_path / "t.ck"
+    scan_to_csv("scan", ScanConfig(start=2, end=3000, chunk_size=500,
+                                   checkpoint_path=str(ck)), str(out), max_chunks=2)
+    os.truncate(ck, ck.stat().st_size - 3)
+    torn = ck.read_bytes()
+    assert checkpoint_resume(str(ck)).torn_bytes == len(torn) - len(torn.rstrip(b"0123456789,/-"))
+    assert ck.read_bytes() == torn
+    with pytest.raises(CheckpointError):
+        scan_to_csv("scan", ScanConfig(start=2, end=4000, chunk_size=500,
+                                       checkpoint_path=str(ck)), str(out))
+    assert ck.read_bytes() == torn
+
+
 def test_resume_rejects_mismatched_config(tmp_path):
     out = tmp_path / "a.csv"
     ck = tmp_path / "a.ck"
