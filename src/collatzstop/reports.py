@@ -249,14 +249,15 @@ _FIG2_HEADER = "n,s,r,r_over_s,pow_ratio"
 _FIG3_HEADER = "m,s,r,pow_ratio,sigma,lower_unit,alpha_ratio,F_over_m"
 
 
-def _class_cell(n: int) -> str:
-    label = res.classify(n)
-    return label.mod12 if label.mod12 is not None else label.mod3
+# the class cell of n >= 1, indexed by n % 12: the mod-12 class of an odd n,
+# the mod-3 class of an even one (12..23 stand in for the residues 0..11,
+# since classify starts at 1)
+_CLASS_CELLS = tuple(lab.mod12 or lab.mod3 for lab in map(res.classify, range(12, 24)))
 
 
 def format_scan_row(row: tuple) -> str:
     n, s, r, _, word, v, capped = row
-    return ",".join((str(n), _class_cell(n), str(s), str(r),
+    return ",".join((str(n), _CLASS_CELLS[n % 12], str(s), str(r),
                      format(word, "b").zfill(s), str(v), "1" if capped else "0"))
 
 
@@ -350,6 +351,8 @@ def _walk_row(n: int, s: int) -> tuple:
 
 
 def _scan_kind_line(kind: str, n: int, s: int) -> str:
+    if n < 2:
+        raise DomainError(f"no scan starts below 2, got {n}")
     line = _SCAN_KINDS[kind][1](_walk_row(n, s))
     if line is None:
         raise DomainError(f"row for {n} should not appear in {kind}")

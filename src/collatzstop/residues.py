@@ -100,8 +100,11 @@ def enumerate_minimal(s: int, cap: int = DEFAULT_CENSUS_CAP) -> list[tuple[int, 
 
 
 def table2_row(n: int, q_cap: int = 15) -> tuple[int, str, ParitySequence | None, int]:
-    """Stopping row (n, class, q or None, value) of one n; q is None when
-    the word is longer than q_cap."""
+    """Stopping row (n, class, q or None, value) of one n in 12i+3, 12i+7
+    or 12i+11, the classes table 2 holds; q is None when the word is longer
+    than q_cap."""
+    if n < 1 or n % 12 not in (3, 7, 11):
+        raise DomainError(f"table 2 holds only 12i+3, 12i+7 and 12i+11, not {n}")
     s, _, _, word, value = descend(n, DEFAULT_STEP_CAP)
     q = ParitySequence(format(word, "b").zfill(s)) if s <= q_cap else None
     return n, f"12i+{n % 12}", q, value

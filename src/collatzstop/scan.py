@@ -4,7 +4,9 @@ Work is cut into fixed chunks of the integer line; workers claim chunks and
 the single writer emits rows in ascending n no matter how many workers run,
 so output bytes are a pure function of the scan configuration.  A checkpoint
 is a text ledger, one line per completed chunk, that lets an interrupted
-scan resume and produce byte-identical remaining output.
+scan resume and produce byte-identical remaining output.  Each ledger
+line holds its chunk's own stats, so a resume rebuilds the scan's stats
+with the same merge a live scan makes.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ CLASS_FILTERS = ("all", "12i+3", "12i+7", "12i+11")
 _RESIDUE = {"all": None, "12i+3": 3, "12i+7": 7, "12i+11": 11}
 
 CHECKPOINT_MAGIC = "collatzstop-scan"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -211,19 +213,21 @@ class CheckpointState:
 
 
 def checkpoint_save(path: str, config_hash: str, chunk: tuple[int, int],
-                    stats: ScanStats, out_bytes: int) -> None:
-    """Append one completed-chunk ledger line, creating the file on first use."""
-    line = "{},{},{},{},{},{}\n".format(
-        chunk[0], chunk[1], stats.count,
-        f"{stats.ratio_num}/{stats.ratio_den}" if stats.argmax_n is not None else "-",
-        stats.argmax_n if stats.argmax_n is not None else "-",
-        out_bytes,
-    )
+                    chunk_stats: tuple, out_bytes: int) -> None:
+    """Append one completed chunk's ledger line, creating the file on first use.
+
+    The line is `lo,hi,count,num/den,argmax|-,out_bytes[,n,...]`: the chunk's
+    own stats as _chunk_worker returned them, the output size after the
+    chunk, and the n of each alpha violation in the chunk.
+    """
+    count, num, den, argmax, violations = chunk_stats
+    fields = (*chunk, count, f"{num}/{den}", "-" if argmax is None else argmax,
+              out_bytes, *(n for n, _ in violations))
     fresh = not os.path.exists(path)
     with open(path, "a", encoding="ascii") as fh:
         if fresh:
             fh.write(f"{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION} {config_hash}\n")
-        fh.write(line)
+        fh.write(",".join(map(str, fields)) + "\n")
         fh.flush()
         os.fsync(fh.fileno())
 
@@ -249,29 +253,29 @@ def checkpoint_resume(path: str) -> CheckpointState:
         raise CheckpointError(f"checkpoint {path!r} is empty; delete it to start fresh")
     head = lines[0].split()
     if len(head) != 3 or head[0] != CHECKPOINT_MAGIC or head[1] != f"v{CHECKPOINT_VERSION}":
-        raise CheckpointError(f"checkpoint {path!r} has an unrecognized header; "
+        raise CheckpointError(f"checkpoint {path!r} has header {lines[0]!r}, expected "
+                              f"'{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION} <hash>'; "
                               "delete it to start fresh")
     state = CheckpointState(config_hash=head[2], completed=[], stats=ScanStats(),
                             out_bytes=0, torn_bytes=len(torn))
-    prev_hi = None
     for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 6:
+        try:
+            lo, hi, count, ratio, argmax, out_bytes, *viol = ln.split(",")
+            num, den = ratio.split("/")
+            lo, hi, count, num, den, out_bytes = map(int, (lo, hi, count, num, den, out_bytes))
+            if count < 0 or den < 1 or out_bytes < 0:
+                raise ValueError
+            chunk = (count, num, den, None if argmax == "-" else int(argmax),
+                     [(int(n), "alpha") for n in viol])  # alpha: the one envelope scans check
+        except ValueError:
             raise CheckpointError(f"checkpoint {path!r} has a corrupt ledger line: {ln!r}; "
-                                  "delete it to start fresh")
-        lo, hi, count, ratio, argmax, out_bytes = parts
-        lo, hi = int(lo), int(hi)
-        if prev_hi is not None and lo != prev_hi + 1:
+                                  "delete it to start fresh") from None
+        if state.completed and lo != state.completed[-1][1] + 1:
             raise CheckpointError(f"checkpoint {path!r} has non-contiguous chunks; "
                                   "delete it to start fresh")
-        prev_hi = hi
         state.completed.append((lo, hi))
-        state.stats.count = int(count)
-        if ratio != "-":
-            num, den = ratio.split("/")
-            state.stats.ratio_num, state.stats.ratio_den = int(num), int(den)
-            state.stats.argmax_n = int(argmax)
-        state.out_bytes = int(out_bytes)
+        state.stats._merge(chunk)  # the merge a live scan makes after each chunk
+        state.out_bytes = out_bytes
     return state
 
 
@@ -285,8 +289,9 @@ def run_scan(cfg: ScanConfig, out_path: str, header: str,
     schema.  With max_chunks set, the scan stops
     cleanly at a chunk boundary after that many chunks (done=False), which
     is also the supported cancellation point.  Resuming from a checkpoint
-    reproduces the uninterrupted file byte for byte; stats do not count
-    alpha violations inside already-completed chunks again.
+    reproduces the uninterrupted file byte for byte, and the same stats,
+    violations included: the ledger holds each chunk's own stats, which
+    resume merges as the live scan did.
     """
     chunks = _chunks(cfg)
     cfg_hash = _config_hash(cfg, header)
@@ -341,7 +346,7 @@ def run_scan(cfg: ScanConfig, out_path: str, header: str,
             stats._merge(chunk_stats)
             done_chunks += 1
             if cfg.checkpoint_path:
-                checkpoint_save(cfg.checkpoint_path, cfg_hash, (lo, hi), stats, out_bytes)
+                checkpoint_save(cfg.checkpoint_path, cfg_hash, (lo, hi), chunk_stats, out_bytes)
     finally:
         out.close()
     return stats, done_chunks == len(chunks)

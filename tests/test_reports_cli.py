@@ -232,6 +232,47 @@ def test_cli_verify_table4_ratio_above_log3_2(tmp_path, capsys):
     assert "r/s = 1306/485 is not below log3(2)" in err
 
 
+@pytest.mark.parametrize("text,line,reason", [
+    ("n,class,s,r,q,value,capped\n1,12i+1,2,1,10,1,1\n", 2, "no scan starts below 2"),
+    ("n,q,F\n4,0,2\n5,10,4\n", 2, "table 2 holds only 12i+3, 12i+7 and 12i+11"),
+    ("n,s,r,r_over_s,pow_ratio\n3,4,2,0.500000000000000,0.562500000000000\n"
+     "4,1,0,0,0.500000000000000\n", 3, "row for 4 should not appear in fig2"),
+    ("s,r,3r,2s,3^r,2^s,class,m,q\n5,3,9,10,27,32,12i+3,3,11010\n", 2,
+     "3 does not stop in exactly 5 steps"),
+    ("n,step,value,parity\n5,1,8,1\n5,2,4,0\n5,3,2,0\n5,4,1,0\n5,5,2,1\n", 6,
+     "the walk from 5 has already reached 1"),
+], ids=["scan-n-below-2", "table2-class-12i+4", "fig2-even-n", "table3-wrong-length",
+        "traj-past-1"])
+def test_cli_verify_refuses_unproducible_row(tmp_path, capsys, text, line, reason):
+    path = tmp_path / "r.csv"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:{line}: ")
+    assert reason in err
+
+
+def test_cli_verify_empty_file(tmp_path, capsys):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: empty file\n"
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (["scan", "--end", "50", "--step-cap", "0"], "step_cap must be >= 1"),
+    (["scan", "--end", "50", "--chunk-size", "0"], "chunk_size must be >= 1"),
+    (["table1", "--rows", "0"], "rows must be >= 1"),
+    (["table3", "--s-min", "9", "--s-max", "5"], "need 1 <= s_min <= s_max"),
+    (["bounds", "--r", "0"], "r must be >= 1"),
+])
+def test_cli_out_of_domain_arguments_write_nothing(tmp_path, capsys, argv, reason):
+    out = tmp_path / "o.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert reason in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_table3_csv(capsys):
     assert main(["table3", "--s-min", "4", "--s-max", "5"]) == 0
     out = capsys.readouterr().out.splitlines()

@@ -244,3 +244,74 @@ def test_scan_stats_streaming():
     assert isinstance(seen[0], int)
     assert all(isinstance(r, (StoppingRecord, CappedWalk)) for r in
                scan_range(ScanConfig(start=2, end=5)))
+
+
+def test_resume_keeps_alpha_violations(tmp_path, capsys, monkeypatch):
+    import collatzstop.scan as scan_mod
+
+    monkeypatch.setattr(scan_mod, "ALPHA", 3)  # breached all over the range
+    argv = ["scan", "--end", "3000", "--chunk-size", "1000"]
+    assert main(argv + ["--out", str(tmp_path / "whole.csv")]) == 0
+    want = capsys.readouterr().out
+    assert "violation: n=" in want
+
+    resumed = argv + ["--out", str(tmp_path / "r.csv"), "--checkpoint", str(tmp_path / "r.ck")]
+    assert main(resumed + ["--max-chunks", "2"]) == 0
+    capsys.readouterr()
+    assert main(resumed) == 0
+    assert capsys.readouterr().out == want
+
+
+def _ledger_scan(tmp_path, done):
+    out, ck = tmp_path / "l.csv", tmp_path / "l.ck"
+    argv = ["scan", "--end", "3000", "--chunk-size", "1000",
+            "--out", str(out), "--checkpoint", str(ck)]
+    assert main(argv + ["--max-chunks", str(done)]) == 0
+    return argv, out, ck
+
+
+def _assert_refused(argv, out, ck, capsys):
+    before = out.read_bytes(), ck.read_bytes()
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint error: ") and str(ck) in err
+    assert (out.read_bytes(), ck.read_bytes()) == before
+    return err
+
+
+# fields of a ledger line: lo,hi,count,num/den,argmax,out_bytes; None drops the field
+@pytest.mark.parametrize("field,value", [
+    (0, "a"), (1, "a"), (2, "a"), (3, "a/1"), (3, "1/a"), (4, "a"), (5, "a"),
+    (3, "5"), (3, "5/0"), (2, "-1"), (5, "-1"), (3, None),
+])
+def test_resume_refuses_corrupt_ledger_field(tmp_path, capsys, field, value):
+    argv, out, ck = _ledger_scan(tmp_path, 2)
+    *head, last = ck.read_text().splitlines()
+    cells = last.split(",")
+    if value is None:
+        del cells[field]
+    else:
+        cells[field] = value
+    ck.write_text("\n".join([*head, ",".join(cells)]) + "\n")
+    assert "corrupt ledger line" in _assert_refused(argv, out, ck, capsys)
+
+
+@pytest.mark.parametrize("line,lo,reason", [
+    (2, 1003, "non-contiguous chunks"),   # the second chunk does not follow the first
+    (1, 3, "do not align"),               # contiguous, but not this scan's chunks
+])
+def test_resume_refuses_misplaced_chunks(tmp_path, capsys, line, lo, reason):
+    argv, out, ck = _ledger_scan(tmp_path, 2)
+    lines = ck.read_text().splitlines()
+    lines[line] = f"{lo}," + lines[line].split(",", 1)[1]
+    ck.write_text("\n".join(lines) + "\n")
+    assert reason in _assert_refused(argv, out, ck, capsys)
+
+
+def test_resume_refuses_v1_ledger(tmp_path, capsys):
+    argv, out, ck = _ledger_scan(tmp_path, 1)
+    head, rest = ck.read_text().split("\n", 1)
+    magic, _, cfg_hash = head.split()
+    ck.write_text(f"{magic} v1 {cfg_hash}\n{rest}")
+    assert repr(f"{magic} v1 {cfg_hash}") in _assert_refused(argv, out, ck, capsys)
