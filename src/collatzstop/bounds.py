@@ -174,12 +174,22 @@ def enumerate_cycle_candidates(s_max: int, cap: int = DEFAULT_CYCLE_CAP) -> list
     return found
 
 
+def envelope_alpha(alpha: Fraction | int) -> Fraction:
+    """alpha as a Fraction, checked positive: the envelope bounds the
+    positive ratio W / (3^(r-1) - 2^(r-1)), so no alpha <= 0 bounds it."""
+    alpha = Fraction(alpha)
+    if alpha <= 0:
+        raise DomainError(f"alpha must be > 0, got {alpha}")
+    return alpha
+
+
 def cycle_upper_bound(r: int, s: int, alpha: Fraction | int = 40) -> Fraction:
-    """alpha * (3^(r-1) - 2^(r-1)) / (2^s - 3^r), exact."""
+    """alpha * (3^(r-1) - 2^(r-1)) / (2^s - 3^r), exact; alpha must be > 0."""
+    alpha = envelope_alpha(alpha)
     den = (1 << s) - 3 ** r
     if den <= 0:
         raise DomainError(f"2^{s} <= 3^{r}: bound denominator not positive")
-    return Fraction(alpha) * Fraction(lower_unit_numerator(r), den)
+    return alpha * Fraction(lower_unit_numerator(r), den)
 
 
 def cycle_lower_bound(r: int, s: int, digits: int | None = None) -> Decimal:
@@ -244,13 +254,15 @@ def stopping_number_bounds(m: int, r: int, s: int,
         3^r/2^s + U/(2^s m)  <=  value/m  <  3^r/2^s + alpha * U/(2^s m)
 
     with U = 3^(r-1) - 2^(r-1).  The alpha side is the observed envelope,
-    not a theorem; alpha = 1 collapses the band onto the floor.
+    not a theorem; alpha = 1 collapses the band onto the floor, and alpha
+    must be > 0.
     """
     if m < 3 or not (m & 1):
         raise DomainError(f"m must be odd and >= 3, got {m}")
+    alpha = envelope_alpha(alpha)
     base = Fraction(3 ** r, 1 << s)
     unit = Fraction(lower_unit_numerator(r), (1 << s) * m)
-    return base + unit, base + Fraction(alpha) * unit
+    return base + unit, base + alpha * unit
 
 
 def _gap_raw(s: int, r: int, digits: int) -> Decimal:

@@ -8,7 +8,12 @@ cell is an int.  Rendering rules, fixed so repeated runs are byte-identical:
   * integers and {1,0} words are written verbatim;
   * exact rationals are written as p/q (plain p when the denominator is 1);
   * approximate values (ratios meant for plotting, gap logarithms) are
-    written as plain decimals with exactly 15 significant digits;
+    written as plain decimals with exactly 15 significant digits, trailing
+    zeros kept and no exponent;
+  * a ratio num/den is rounded half-even to 25 significant digits, then
+    half-even to 15 (`render_ratio`, in integers only); fig2 and fig3
+    render the cells that depend only on a row's stopping word once per
+    word, through a bounded cache;
   * fields never need quoting, the separator is a comma, newline is LF.
 
 Every CSV row is self-contained, so `verify` can re-derive each row from
@@ -22,6 +27,7 @@ import json
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from . import bounds as bnd
@@ -48,12 +54,50 @@ def render_sig(d: Decimal) -> str:
     return format(d, "f")
 
 
+_GUARD = 10  # render_ratio rounds first to SIG_DIGITS + _GUARD significant digits
+_P_LOW, _P_HIGH = 10 ** (SIG_DIGITS + _GUARD - 1), 10 ** (SIG_DIGITS + _GUARD)
+_P_GUARD, _P_SIG = 10 ** _GUARD, 10 ** SIG_DIGITS
+
+
 def render_ratio(num: int, den: int) -> str:
-    """num/den as a SIG_DIGITS-digit plain decimal."""
-    with localcontext() as ctx:
-        ctx.prec = SIG_DIGITS + 10
-        d = Decimal(num) / Decimal(den)
-    return render_sig(d)
+    """num/den as a SIG_DIGITS-digit plain decimal, in integers only.
+
+    The quotient is rounded half-even to SIG_DIGITS + _GUARD significant digits,
+    then that is rounded half-even to SIG_DIGITS: two roundings, as a Decimal
+    division at that precision followed by render_sig made them, to the byte.
+    """
+    if not den:
+        raise ZeroDivisionError("ratio with a zero denominator")
+    if not num:
+        return "0"
+    sign = "-" if (num < 0) != (den < 0) else ""
+    num, den = abs(num), abs(den)
+    # e, the decimal exponent of the quotient's leading digit: estimated from
+    # the bit lengths (1233/4096 is just below log10 2), then corrected exactly
+    e = ((num.bit_length() - den.bit_length()) * 1233) >> 12
+    while True:
+        k = SIG_DIGITS + _GUARD - 1 - e
+        n, d = (num * 10 ** k, den) if k >= 0 else (num, den * 10 ** -k)
+        q, rem = divmod(n, d)
+        if q < _P_LOW:
+            e -= 1
+        elif q >= _P_HIGH:
+            e += 1
+        else:
+            break
+    # half-even: up past the half, or at it when q is odd; a first rounding
+    # that carries to 10^25 rounds to 10^15 next, which the carry below takes
+    q += (2 * rem, q & 1) > (d, 0)
+    q, rem = divmod(q, _P_GUARD)
+    q += (2 * rem, q & 1) > (_P_GUARD, 0)
+    if q == _P_SIG:
+        q, e = _P_SIG // 10, e + 1
+    digits, point = str(q), e + 1  # the value is q * 10^(point - SIG_DIGITS)
+    if point >= SIG_DIGITS:
+        return sign + digits + "0" * (point - SIG_DIGITS)
+    if point > 0:
+        return f"{sign}{digits[:point]}.{digits[point:]}"
+    return f"{sign}0.{'0' * -point}{digits}"
 
 
 def render_rational(f: Fraction) -> str:
@@ -207,7 +251,7 @@ def _cycles_row(cand: bnd.CycleCandidate, alpha: Fraction) -> Row:
 
 def cycles_report(s_max: int, alpha: Fraction | int = 40,
                   cap: int = bnd.DEFAULT_CYCLE_CAP) -> Report:
-    alpha = Fraction(alpha)
+    alpha = bnd.envelope_alpha(alpha)  # checked before any row, so nothing is written
     return Report(_CYCLES_HEADER, [_cycles_row(cand, alpha)
                                    for cand in bnd.enumerate_cycle_candidates(s_max, cap)])
 
@@ -238,7 +282,7 @@ def bounds_report(r_max: int, alpha: Fraction | int = 40,
     digits = bnd.default_digits() if digits is None else digits
     if digits < 1:
         raise DomainError(f"digits must be >= 1, got {digits}")
-    alpha = Fraction(alpha)
+    alpha = bnd.envelope_alpha(alpha)
     return Report(_BOUNDS_HEADER, (_bounds_row(r, alpha, digits) for r in range(1, r_max + 1)))
 
 
@@ -261,25 +305,37 @@ def format_scan_row(row: tuple) -> str:
                      format(word, "b").zfill(s), str(v), "1" if capped else "0"))
 
 
+# The fig2 and fig3 cells that depend only on a row's stopping word are
+# rendered once per word: about 4,000 distinct words in 25,000 fig3 rows of
+# 12i+7 near 3*10^5.  The size bounds the memory (about 1.2 MB) on scans with
+# many words; each key is exactly the values its cells are computed from.
+_WORD_CELLS_CACHE = 4096
+
+
+@lru_cache(maxsize=_WORD_CELLS_CACHE)
+def _fig2_word_cells(s: int, r: int) -> str:
+    return f"{render_ratio(r, s)},{render_ratio(3 ** r, 1 << s)}"
+
+
+@lru_cache(maxsize=_WORD_CELLS_CACHE)
+def _fig3_word_cells(s: int, r: int, w: int) -> str:
+    unit = lower_unit_numerator(r)
+    return ",".join((render_ratio(3 ** r, 1 << s), render_ratio(w, 1 << s),
+                     render_ratio(unit, 1 << s), render_ratio(w, unit)))
+
+
 def format_fig2_row(row: tuple) -> str | None:
     n, s, r, _, word, v, capped = row
     if capped or not (n & 1):
         return None
-    return ",".join((str(n), str(s), str(r), render_ratio(r, s),
-                     render_ratio(3 ** r, 1 << s)))
+    return f"{n},{s},{r},{_fig2_word_cells(s, r)}"
 
 
 def format_fig3_row(row: tuple) -> str | None:
     n, s, r, w, word, v, capped = row
     if capped or not (n & 1) or r < 2:
         return None
-    unit = lower_unit_numerator(r)
-    return ",".join((str(n), str(s), str(r),
-                     render_ratio(3 ** r, 1 << s),
-                     render_ratio(w, 1 << s),
-                     render_ratio(unit, 1 << s),
-                     render_ratio(w, unit),
-                     render_ratio(v, n)))
+    return f"{n},{s},{r},{_fig3_word_cells(s, r, w)},{render_ratio(v, n)}"
 
 
 # kind -> (header, formatter); the formatters are the scan hot path, so each

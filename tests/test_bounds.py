@@ -139,6 +139,15 @@ def test_stopping_number_bounds_examples():
         stopping_number_bounds(4, 2, 4, 40)
 
 
+@pytest.mark.parametrize("alpha", [0, -1, Fraction(-7, 3)])
+def test_envelope_bounds_refuse_non_positive_alpha(alpha):
+    # the envelope bounds the positive ratio W/U, so no alpha <= 0 bounds it
+    with pytest.raises(DomainError, match="alpha must be > 0"):
+        cycle_upper_bound(7, 12, alpha)
+    with pytest.raises(DomainError, match="alpha must be > 0"):
+        stopping_number_bounds(7, 4, 7, alpha)
+
+
 def test_ratio_records_first_rows():
     records = ratio_records(485, 3000, 50)
     assert [(rec.s, rec.r) for rec in records] == [(485, 306), (1539, 971), (2593, 1636)]

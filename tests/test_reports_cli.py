@@ -241,8 +241,12 @@ def test_cli_verify_table4_ratio_above_log3_2(tmp_path, capsys):
      "3 does not stop in exactly 5 steps"),
     ("n,step,value,parity\n5,1,8,1\n5,2,4,0\n5,3,2,0\n5,4,1,0\n5,5,2,1\n", 6,
      "the walk from 5 has already reached 1"),
+    ("s,r,q,numerator,denominator,m1,alpha,m1_upper\n2,1,10,1,1,1,-1,0\n", 2,
+     "alpha must be > 0, got -1"),
+    ("r,s,alpha,pow_ratio,m1_upper,m1_lower,lower_positive\n"
+     "1,2,0,0.750000000000000,0,-0.199023144560607,0\n", 2, "alpha must be > 0, got 0"),
 ], ids=["scan-n-below-2", "table2-class-12i+4", "fig2-even-n", "table3-wrong-length",
-        "traj-past-1"])
+        "traj-past-1", "cycles-negative-alpha", "bounds-zero-alpha"])
 def test_cli_verify_refuses_unproducible_row(tmp_path, capsys, text, line, reason):
     path = tmp_path / "r.csv"
     path.write_text(text)
@@ -265,6 +269,10 @@ def test_cli_verify_empty_file(tmp_path, capsys):
     (["table1", "--rows", "0"], "rows must be >= 1"),
     (["table3", "--s-min", "9", "--s-max", "5"], "need 1 <= s_min <= s_max"),
     (["bounds", "--r", "0"], "r must be >= 1"),
+    (["cycles", "--s-max", "6", "--alpha=-1"], "alpha must be > 0, got -1"),
+    (["cycles", "--s-max", "6", "--alpha", "0"], "alpha must be > 0, got 0"),
+    (["bounds", "--r", "3", "--alpha=-7/3"], "alpha must be > 0, got -7/3"),
+    (["bounds", "--r", "3", "--alpha", "0"], "alpha must be > 0, got 0"),
 ])
 def test_cli_out_of_domain_arguments_write_nothing(tmp_path, capsys, argv, reason):
     out = tmp_path / "o.csv"
