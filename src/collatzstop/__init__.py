@@ -13,8 +13,8 @@ from .bounds import (CycleCandidate, RatioFlags, RatioRecord,
                      enumerate_cycle_candidates, log3_2, matveev_constant,
                      matveev_constant_value, matveev_log10_gap_bound,
                      ratio_records, stopping_number_bounds, unique_s_for_r)
-from .core import (DEFAULT_STEP_CAP, StoppingRecord, shortcut_step,
-                   stopping_record, trajectory)
+from .core import (DEFAULT_STEP_CAP, StoppingRecord, is_parity_prefix,
+                   shortcut_step, stopping_record, trajectory)
 from .errors import (CheckpointError, CollatzStopError, CycleDetectedError,
                      DomainError, LimitError, ParseError, StepLimitError)
 from .residues import (ClassLabel, ResidueFamily, class_transition, classify,
@@ -23,8 +23,8 @@ from .residues import (ClassLabel, ResidueFamily, class_transition, classify,
 from .scan import (CappedWalk, ScanConfig, ScanStats, checkpoint_resume,
                    checkpoint_save, empirical_alpha, scan_collect, scan_range)
 from .sequences import (ExactOutcome, ParitySequence, apply_closed_form,
-                        is_parity_prefix, lower_unit_numerator,
-                        min_weighted_sum, parse_sequence, sigma, weighted_sum)
+                        lower_unit_numerator, parse_sequence, sigma,
+                        weighted_sum)
 
 __version__ = "0.1.0"
 
@@ -39,9 +39,8 @@ __all__ = [
     "cycle_upper_bound", "default_digits", "empirical_alpha",
     "enumerate_cycle_candidates", "enumerate_minimal", "family_member",
     "is_parity_prefix", "log3_2", "lower_unit_numerator", "matveev_constant",
-    "matveev_constant_value", "matveev_log10_gap_bound", "min_weighted_sum",
-    "parse_sequence", "ratio_records", "scan_collect", "scan_range",
-    "shortcut_step", "sigma", "stopping_number_bounds", "stopping_record",
-    "table2_rows", "trajectory", "two_step_reduce", "unique_s_for_r",
-    "weighted_sum",
+    "matveev_constant_value", "matveev_log10_gap_bound", "parse_sequence",
+    "ratio_records", "scan_collect", "scan_range", "shortcut_step", "sigma",
+    "stopping_number_bounds", "stopping_record", "table2_rows", "trajectory",
+    "two_step_reduce", "unique_s_for_r", "weighted_sum",
 ]

@@ -16,12 +16,18 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 from .errors import DomainError, LimitError
-from .sequences import ParitySequence, lower_unit_numerator, weighted_sum
+from .sequences import ParitySequence, lower_unit_numerator, weighted_sum, word_bits
 
 DEFAULT_DIGITS = 50
 DIGITS_ENV_VAR = "COLLATZSTOP_DIGITS"
+_GUARD_DIGITS = 10  # working digits beyond `digits` before a result is rounded
+
+# the envelope W / (3^(r-1) - 2^(r-1)) <= ALPHA: observed, not proven; scans
+# report each breach, and the cycle-number bounds take it as their default
+ALPHA = 40
 
 DEFAULT_CYCLE_CAP = 20
 DEFAULT_RECORDS_START = 485
@@ -41,17 +47,23 @@ def default_digits() -> int:
     return digits
 
 
+def _rounded(raw: Callable[[], Decimal], digits: int) -> Decimal:
+    """raw() computed with _GUARD_DIGITS digits beyond `digits`, then rounded
+    to `digits` significant digits."""
+    with localcontext() as ctx:
+        ctx.prec = digits + _GUARD_DIGITS
+        value = raw()
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return +value
+
+
 @lru_cache(maxsize=None)
 def log3_2(digits: int) -> Decimal:
     """log base 3 of 2 to `digits` significant digits."""
     if digits < 1:
         raise DomainError(f"digits must be >= 1, got {digits}")
-    with localcontext() as ctx:
-        ctx.prec = digits + 10
-        raw = Decimal(2).ln() / Decimal(3).ln()
-    with localcontext() as ctx:
-        ctx.prec = digits
-        return +raw
+    return _rounded(lambda: Decimal(2).ln() / Decimal(3).ln(), digits)
 
 
 @dataclass(frozen=True)
@@ -143,8 +155,9 @@ def enumerate_cycle_candidates(s_max: int, cap: int = DEFAULT_CYCLE_CAP) -> list
     Every cycle of the map must contain an odd member (an all-even cycle
     would descend forever), so words are canonicalized to start with an odd
     step: only first-bit-1 words are searched.  The walk over the word tree
-    carries (r, W) incrementally and prunes subtrees whose odd-step count
-    already forces 3^r above 2^s_max.
+    carries the walk kernel's state (s, r, W, packed word), grows W by its
+    rule, and prunes subtrees whose odd-step count already forces 3^r above
+    2^s_max.  Only a found candidate's word is decoded to text.
     """
     if s_max < 1:
         raise DomainError(f"s_max must be >= 1, got {s_max}")
@@ -153,23 +166,18 @@ def enumerate_cycle_candidates(s_max: int, cap: int = DEFAULT_CYCLE_CAP) -> list
     pow3 = [3 ** i for i in range(s_max + 2)]
     top = 1 << s_max
     found: list[CycleCandidate] = []
-    bits = ["1"]
 
-    def walk(s: int, r: int, w: int) -> None:
+    def walk(s: int, r: int, w: int, word: int) -> None:
         den = (1 << s) - pow3[r]
         if den > 0 and w >= den and w % den == 0:
-            found.append(cycle_candidate(ParitySequence("".join(bits))))
+            found.append(cycle_candidate(ParitySequence(word_bits(word, s))))
         if s == s_max:
             return
-        bits.append("0")
-        walk(s + 1, r, w)
-        bits.pop()
+        walk(s + 1, r, w, word << 1)
         if pow3[r + 1] < top:
-            bits.append("1")
-            walk(s + 1, r + 1, 3 * w + (1 << s))
-            bits.pop()
+            walk(s + 1, r + 1, 3 * w + (1 << s), (word << 1) | 1)
 
-    walk(1, 1, 1)
+    walk(1, 1, 1, 1)
     found.sort(key=lambda c: (c.q.s, c.q.bits))
     return found
 
@@ -183,7 +191,7 @@ def envelope_alpha(alpha: Fraction | int) -> Fraction:
     return alpha
 
 
-def cycle_upper_bound(r: int, s: int, alpha: Fraction | int = 40) -> Fraction:
+def cycle_upper_bound(r: int, s: int, alpha: Fraction | int = ALPHA) -> Fraction:
     """alpha * (3^(r-1) - 2^(r-1)) / (2^s - 3^r), exact; alpha must be > 0."""
     alpha = envelope_alpha(alpha)
     den = (1 << s) - 3 ** r
@@ -205,28 +213,21 @@ def cycle_lower_bound(r: int, s: int, digits: int | None = None) -> Decimal:
     if den <= 0:
         raise DomainError(f"2^{s} <= 3^{r}: gap not positive")
     digits = default_digits() if digits is None else digits
-    with localcontext() as ctx:
-        ctx.prec = digits + 10
+
+    def raw() -> Decimal:
         e1 = Decimal(den) / Decimal(1 << s)
-        exponent = (1 - log3_2(digits + 10)) * s + 1
+        exponent = (1 - log3_2(digits + _GUARD_DIGITS)) * s + 1
         e2 = Decimal(2) ** (-exponent)
-        raw = (1 - e1 - 3 * e2) / (3 * e1)
-    with localcontext() as ctx:
-        ctx.prec = digits
-        return +raw
+        return (1 - e1 - 3 * e2) / (3 * e1)
+    return _rounded(raw, digits)
 
 
 def matveev_constant_value(digits: int = 40) -> Decimal:
     """e * 2^3.5 * 30^5 * ln 3 evaluated to `digits` significant digits."""
     if digits < 30:
         raise DomainError(f"digits must be >= 30 for a trustworthy rounding, got {digits}")
-    with localcontext() as ctx:
-        ctx.prec = digits + 10
-        raw = (Decimal(1).exp() * (Decimal(2) ** Decimal("3.5"))
-               * (30 ** 5) * Decimal(3).ln())
-    with localcontext() as ctx:
-        ctx.prec = digits
-        return +raw
+    return _rounded(lambda: (Decimal(1).exp() * (Decimal(2) ** Decimal("3.5"))
+                             * (30 ** 5) * Decimal(3).ln()), digits)
 
 
 def matveev_constant() -> int:
@@ -248,7 +249,7 @@ def matveev_log10_gap_bound(s: int) -> float:
 
 
 def stopping_number_bounds(m: int, r: int, s: int,
-                           alpha: Fraction | int = 40) -> tuple[Fraction, Fraction]:
+                           alpha: Fraction | int = ALPHA) -> tuple[Fraction, Fraction]:
     """Exact band for value/m of a stopping walk from odd m:
 
         3^r/2^s + U/(2^s m)  <=  value/m  <  3^r/2^s + alpha * U/(2^s m)
@@ -266,21 +267,16 @@ def stopping_number_bounds(m: int, r: int, s: int,
 
 
 def _gap_raw(s: int, r: int, digits: int) -> Decimal:
-    """log3(2) - r/s with ten guard digits beyond `digits`."""
+    """log3(2) - r/s with _GUARD_DIGITS digits beyond `digits`."""
     with localcontext() as ctx:
-        ctx.prec = digits + 10
-        return log3_2(digits + 10) - Decimal(r) / Decimal(s)
+        ctx.prec = digits + _GUARD_DIGITS
+        return log3_2(digits + _GUARD_DIGITS) - Decimal(r) / Decimal(s)
 
 
 def _record_from(s: int, r: int, digits: int) -> RatioRecord:
     gap_raw = _gap_raw(s, r, digits)
-    with localcontext() as ctx:
-        ctx.prec = digits + 10
-        log10_raw = gap_raw.log10()
-    with localcontext() as ctx:
-        ctx.prec = digits
-        gap = +gap_raw
-        log10_gap = float(+log10_raw)
+    gap = _rounded(lambda: gap_raw, digits)
+    log10_gap = float(_rounded(gap_raw.log10, digits))
     flags = check_ratio_constraints(s, r, digits)
     return RatioRecord(s=s, r=r, gap=gap, log10_gap=log10_gap,
                        lower_ok=flags.ratio_lower, ratio_ok=flags.power)
@@ -305,7 +301,7 @@ def ratio_records(s_min: int, s_max: int, digits: int | None = None) -> list[Rat
 
     scale = 10 ** digits
     with localcontext() as ctx:
-        ctx.prec = digits + 10
+        ctx.prec = digits + _GUARD_DIGITS
         scaled = int(log3_2(digits).scaleb(digits).to_integral_value())
 
     records = []

@@ -11,7 +11,7 @@ import sys
 from fractions import Fraction
 
 from . import reports
-from .bounds import DEFAULT_RECORDS_START
+from .bounds import ALPHA, DEFAULT_RECORDS_START
 from .errors import (CheckpointError, CycleDetectedError, DomainError,
                      LimitError)
 from .scan import CLASS_FILTERS, ScanConfig
@@ -27,7 +27,7 @@ class Parser(argparse.ArgumentParser):
 
 
 def _emit(report: reports.Report, args) -> int:
-    writer = reports.write_jsonl if getattr(args, "json", False) else reports.write_csv
+    writer = reports.write_jsonl if args.json else reports.write_csv
     if args.out:
         with open(args.out, "wb") as fh:
             writer(report, fh)
@@ -37,13 +37,20 @@ def _emit(report: reports.Report, args) -> int:
     return 0
 
 
-def _add_output_flags(p: Parser) -> None:
+def _report_command(sub, name: str, help: str, build) -> Parser:
+    """A command that writes the report build(args) returns, as CSV or JSON
+    lines, to --out or stdout; the caller adds the command's own arguments."""
+    p = sub.add_parser(name, help=help)
     p.add_argument("--out", help="write to this file instead of stdout")
     p.add_argument("--json", action="store_true",
                    help="emit JSON objects (one per row) instead of CSV")
+    p.set_defaults(func=lambda a: _emit(build(a), a))
+    return p
 
 
-def _add_scan_flags(p: Parser, *, start: int, end: int, cls: str) -> None:
+def _scan_command(sub, kind: str, help: str, *, start: int, end: int, cls: str) -> None:
+    """A checkpointed scan writing the `kind` schema to --out."""
+    p = sub.add_parser(kind, help=help)
     p.add_argument("--start", type=int, default=start)
     p.add_argument("--end", type=int, default=end)
     p.add_argument("--class", dest="class_filter", choices=CLASS_FILTERS, default=cls)
@@ -54,6 +61,7 @@ def _add_scan_flags(p: Parser, *, start: int, end: int, cls: str) -> None:
     p.add_argument("--max-chunks", type=int,
                    help="stop cleanly after this many chunks (resume later)")
     p.add_argument("--out", required=True, help="output CSV path")
+    p.set_defaults(func=lambda a: _run_scan(kind, a))
 
 
 def build_parser() -> Parser:
@@ -61,75 +69,59 @@ def build_parser() -> Parser:
                     description="Exact stopping-time analysis of the halved Collatz map")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("stop", help="minimal descent record of one start value")
+    p = _report_command(sub, "stop", "minimal descent record of one start value",
+                        lambda a: reports.stop_report(a.n, a.step_cap))
     p.add_argument("n", type=int)
     p.add_argument("--step-cap", type=int, default=10 ** 6)
-    _add_output_flags(p)
-    p.set_defaults(func=lambda a: _emit(reports.stop_report(a.n, a.step_cap), a))
 
-    p = sub.add_parser("traj", help="iterates of one start value")
+    p = _report_command(sub, "traj", "iterates of one start value",
+                        lambda a: reports.traj_report(a.n, a.limit))
     p.add_argument("n", type=int)
     p.add_argument("--limit", type=int, required=True)
-    _add_output_flags(p)
-    p.set_defaults(func=lambda a: _emit(reports.traj_report(a.n, a.limit), a))
 
-    p = sub.add_parser("seq", help="facts about a parity word, optionally applied to n")
+    p = _report_command(sub, "seq", "facts about a parity word, optionally applied to n",
+                        lambda a: reports.seq_report(a.q, a.apply_n))
     p.add_argument("q")
     p.add_argument("--apply", type=int, dest="apply_n")
-    _add_output_flags(p)
-    p.set_defaults(func=lambda a: _emit(reports.seq_report(a.q, a.apply_n), a))
 
-    p = sub.add_parser("table1", help="mod-3 / mod-12 classification rows")
+    p = _report_command(sub, "table1", "mod-3 / mod-12 classification rows",
+                        lambda a: reports.table1_report(a.rows))
     p.add_argument("--rows", type=int, required=True)
-    _add_output_flags(p)
-    p.set_defaults(func=lambda a: _emit(reports.table1_report(a.rows), a))
 
-    p = sub.add_parser("table2", help="stopping rows for the hard odd classes")
+    p = _report_command(sub, "table2", "stopping rows for the hard odd classes",
+                        lambda a: reports.table2_report(a.max_n, a.q_cap))
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--q-cap", type=int, default=15,
                    help="blank the word when longer than this")
-    _add_output_flags(p)
-    p.set_defaults(func=lambda a: _emit(reports.table2_report(a.max_n, a.q_cap), a))
 
-    p = sub.add_parser("table3", help="census of minimal stopping words by length")
+    p = _report_command(sub, "table3", "census of minimal stopping words by length",
+                        lambda a: reports.table3_report(a.s_min, a.s_max))
     p.add_argument("--s-min", type=int, default=4)
     p.add_argument("--s-max", type=int, default=13)
-    _add_output_flags(p)
-    p.set_defaults(func=lambda a: _emit(reports.table3_report(a.s_min, a.s_max), a))
 
-    p = sub.add_parser("table4", help="record ratios closest to log3(2)")
+    p = _report_command(sub, "table4", "record ratios closest to log3(2)",
+                        lambda a: reports.table4_report(a.s_max, a.digits, a.s_min))
     p.add_argument("--s-max", type=int, required=True)
     p.add_argument("--s-min", type=int, default=DEFAULT_RECORDS_START)
     p.add_argument("--digits", type=int, default=None)
-    _add_output_flags(p)
-    p.set_defaults(func=lambda a: _emit(
-        reports.table4_report(a.s_max, a.digits, a.s_min), a))
 
-    p = sub.add_parser("cycles", help="integer fixed-point candidates over all words")
+    p = _report_command(sub, "cycles", "integer fixed-point candidates over all words",
+                        lambda a: reports.cycles_report(a.s_max, a.alpha))
     p.add_argument("--s-max", type=int, required=True)
-    p.add_argument("--alpha", type=Fraction, default=Fraction(40))
-    _add_output_flags(p)
-    p.set_defaults(func=lambda a: _emit(reports.cycles_report(a.s_max, a.alpha), a))
+    p.add_argument("--alpha", type=Fraction, default=Fraction(ALPHA))
 
-    p = sub.add_parser("bounds", help="cycle-number bound curves for r = 1..R")
+    p = _report_command(sub, "bounds", "cycle-number bound curves for r = 1..R",
+                        lambda a: reports.bounds_report(a.r_max, a.alpha, a.digits))
     p.add_argument("--r", dest="r_max", type=int, required=True)
-    p.add_argument("--alpha", type=Fraction, default=Fraction(40))
+    p.add_argument("--alpha", type=Fraction, default=Fraction(ALPHA))
     p.add_argument("--digits", type=int, default=None)
-    _add_output_flags(p)
-    p.set_defaults(func=lambda a: _emit(
-        reports.bounds_report(a.r_max, a.alpha, a.digits), a))
 
-    p = sub.add_parser("scan", help="stopping records over a range, to CSV")
-    _add_scan_flags(p, start=2, end=10 ** 5, cls="all")
-    p.set_defaults(func=lambda a: _run_scan("scan", a))
-
-    p = sub.add_parser("fig2", help="step-ratio observations for odd starters, to CSV")
-    _add_scan_flags(p, start=3, end=10 ** 6, cls="all")
-    p.set_defaults(func=lambda a: _run_scan("fig2", a))
-
-    p = sub.add_parser("fig3", help="sigma, envelope and value ratios, to CSV")
-    _add_scan_flags(p, start=7, end=2_400_007, cls="12i+7")
-    p.set_defaults(func=lambda a: _run_scan("fig3", a))
+    _scan_command(sub, "scan", "stopping records over a range, to CSV",
+                  start=2, end=10 ** 5, cls="all")
+    _scan_command(sub, "fig2", "step-ratio observations for odd starters, to CSV",
+                  start=3, end=10 ** 6, cls="all")
+    _scan_command(sub, "fig3", "sigma, envelope and value ratios, to CSV",
+                  start=7, end=2_400_007, cls="12i+7")
 
     p = sub.add_parser("verify", help="re-derive every row of a CSV produced here")
     p.add_argument("path")

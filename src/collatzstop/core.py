@@ -7,7 +7,7 @@ from itertools import islice
 from typing import Iterator
 
 from .errors import CycleDetectedError, DomainError, StepLimitError
-from .sequences import ParitySequence
+from .sequences import ParitySequence, word_bits
 
 DEFAULT_STEP_CAP = 10 ** 6
 
@@ -66,10 +66,12 @@ def walk(n: int, cap: int) -> tuple[int, int, int, int, int, bool]:
 def descend(n: int, step_cap: int) -> tuple[int, int, int, int, int]:
     """(s, r, w, word, value) of walk(n, step_cap), which must descend.
 
-    A walk that never drops below n can only end at the cap; only then is it
-    searched for a return to n (CycleDetectedError) before StepLimitError
-    reports the partial walk.
+    step_cap must be >= 1.  A walk that never drops below n can only end at
+    the cap; only then is it searched for a return to n (CycleDetectedError)
+    before StepLimitError reports the partial walk.
     """
+    if step_cap < 1:
+        raise DomainError(f"step_cap must be >= 1, got {step_cap}")
     s, r, w, word, v, capped = walk(n, step_cap)
     if capped:
         u = n
@@ -77,7 +79,7 @@ def descend(n: int, step_cap: int) -> tuple[int, int, int, int, int]:
             u, _ = shortcut_step(u)
             if u == n:
                 raise CycleDetectedError(f"{n} returned to itself after {step} steps")
-        raise StepLimitError(n, s, r, format(word, "b").zfill(s), v)
+        raise StepLimitError(n, s, r, word_bits(word, s), v)
     return s, r, w, word, v
 
 
@@ -90,8 +92,23 @@ def stopping_record(n: int, step_cap: int = DEFAULT_STEP_CAP) -> StoppingRecord:
     if n < 2:
         raise DomainError(f"stopping is defined for n >= 2, got {n}")
     s, r, _, word, value = descend(n, step_cap)
-    q = ParitySequence(format(word, "b").zfill(s))
+    q = ParitySequence(word_bits(word, s))
     return StoppingRecord(n=n, s=s, r=r, q=q, value=value)
+
+
+def is_parity_prefix(q: ParitySequence, n: int) -> bool:
+    """True iff the parities of the first s iterates of n equal q bit for bit.
+
+    Steps the map itself, so it stays an independent check of the closed form.
+    """
+    if n < 1:
+        raise DomainError(f"start value must be >= 1, got {n}")
+    v = n
+    for bit in q.bits:
+        v, parity = shortcut_step(v)
+        if bit != "01"[parity]:
+            return False
+    return True
 
 
 def _iterates(n: int) -> Iterator[tuple[int, int]]:

@@ -35,10 +35,11 @@ from . import residues as res
 from . import scan as scn
 # descend is unused here but must stay importable as reports.descend:
 # perfbench/tracing.py wraps that name when it times a run
-from .core import DEFAULT_STEP_CAP, _iterates, descend, stopping_record, trajectory  # noqa: F401
+from .core import (DEFAULT_STEP_CAP, _iterates, descend, is_parity_prefix,  # noqa: F401
+                   stopping_record, trajectory)
 from .errors import DomainError, LimitError
-from .sequences import (ParitySequence, apply_closed_form, is_parity_prefix,
-                        lower_unit_numerator, parse_sequence, sigma, weighted_sum)
+from .sequences import (ParitySequence, apply_closed_form, lower_unit_numerator,
+                        parse_sequence, sigma, weighted_sum, word_bits)
 
 SIG_DIGITS = 15
 
@@ -249,7 +250,7 @@ def _cycles_row(cand: bnd.CycleCandidate, alpha: Fraction) -> Row:
             render_rational(cand.m1), render_rational(alpha), render_rational(upper)]
 
 
-def cycles_report(s_max: int, alpha: Fraction | int = 40,
+def cycles_report(s_max: int, alpha: Fraction | int = bnd.ALPHA,
                   cap: int = bnd.DEFAULT_CYCLE_CAP) -> Report:
     alpha = bnd.envelope_alpha(alpha)  # checked before any row, so nothing is written
     return Report(_CYCLES_HEADER, [_cycles_row(cand, alpha)
@@ -270,7 +271,7 @@ def _bounds_row(r: int, alpha: Fraction, digits: int) -> Row:
             int(lower > 0)]
 
 
-def bounds_report(r_max: int, alpha: Fraction | int = 40,
+def bounds_report(r_max: int, alpha: Fraction | int = bnd.ALPHA,
                   digits: int | None = None) -> Report:
     """Cycle-number bound curves for r = 1 .. r_max at each r's unique s.
 
@@ -302,7 +303,7 @@ _CLASS_CELLS = tuple(lab.mod12 or lab.mod3 for lab in map(res.classify, range(12
 def format_scan_row(row: tuple) -> str:
     n, s, r, _, word, v, capped = row
     return ",".join((str(n), _CLASS_CELLS[n % 12], str(s), str(r),
-                     format(word, "b").zfill(s), str(v), "1" if capped else "0"))
+                     word_bits(word, s), str(v), "1" if capped else "0"))
 
 
 # The fig2 and fig3 cells that depend only on a row's stopping word are
@@ -409,6 +410,8 @@ def _walk_row(n: int, s: int) -> tuple:
 def _scan_kind_line(kind: str, n: int, s: int) -> str:
     if n < 2:
         raise DomainError(f"no scan starts below 2, got {n}")
+    if s < 1:
+        raise DomainError(f"no scan walk takes fewer than 1 step, got s = {s}")
     line = _SCAN_KINDS[kind][1](_walk_row(n, s))
     if line is None:
         raise DomainError(f"row for {n} should not appear in {kind}")
@@ -421,7 +424,7 @@ def _table3_check(s: int, m: int) -> Row:
     _, steps, _, _, word, _, capped = _walk_row(m, s)
     if steps != s or capped:
         raise DomainError(f"{m} does not stop in exactly {s} steps")
-    return _table3_row(s, m, ParitySequence(format(word, "b").zfill(s)))
+    return _table3_row(s, m, ParitySequence(word_bits(word, s)))
 
 
 def verify_csv(path: str, digits: int | None = None, q_cap: int = 15) -> int:

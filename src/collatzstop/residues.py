@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .core import DEFAULT_STEP_CAP, descend, walk
 from .errors import DomainError, LimitError
-from .sequences import ParitySequence
+from .sequences import ParitySequence, word_bits
 
 DEFAULT_CENSUS_CAP = 24
 
@@ -95,7 +95,7 @@ def enumerate_minimal(s: int, cap: int = DEFAULT_CENSUS_CAP) -> list[tuple[int, 
     for m in range(3, 1 << s, 4):
         steps, _, _, word, _, capped = walk(m, s)
         if steps == s and not capped:
-            out.append((m, ParitySequence(format(word, "b").zfill(s))))
+            out.append((m, ParitySequence(word_bits(word, s))))
     return out
 
 
@@ -106,7 +106,7 @@ def table2_row(n: int, q_cap: int = 15) -> tuple[int, str, ParitySequence | None
     if n < 1 or n % 12 not in (3, 7, 11):
         raise DomainError(f"table 2 holds only 12i+3, 12i+7 and 12i+11, not {n}")
     s, _, _, word, value = descend(n, DEFAULT_STEP_CAP)
-    q = ParitySequence(format(word, "b").zfill(s)) if s <= q_cap else None
+    q = ParitySequence(word_bits(word, s)) if s <= q_cap else None
     return n, f"12i+{n % 12}", q, value
 
 

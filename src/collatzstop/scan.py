@@ -6,7 +6,8 @@ so output bytes are a pure function of the scan configuration.  A checkpoint
 is a text ledger, one line per completed chunk, that lets an interrupted
 scan resume and produce byte-identical remaining output.  Each ledger
 line holds its chunk's own stats, so a resume rebuilds the scan's stats
-with the same merge a live scan makes.
+with the same merge a live scan makes, and a running SHA-256 of the output
+and the ledger so far, which a resume checks before it trusts the line.
 """
 
 from __future__ import annotations
@@ -21,15 +22,14 @@ from typing import Callable, Iterable, Iterator
 
 from .core import StoppingRecord, walk as _scan_one  # walks every scanned and verified row
 from .errors import CheckpointError, DomainError
-from .sequences import ParitySequence, lower_unit_numerator, weighted_sum
-
-ALPHA = 40  # the empirical envelope constant checked during scans
+from .bounds import ALPHA  # the envelope checked during scans; tests patch scan.ALPHA
+from .sequences import ParitySequence, lower_unit_numerator, weighted_sum, word_bits
 
 CLASS_FILTERS = ("all", "12i+3", "12i+7", "12i+11")
 _RESIDUE = {"all": None, "12i+3": 3, "12i+7": 7, "12i+11": 11}
 
 CHECKPOINT_MAGIC = "collatzstop-scan"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,7 @@ def _chunk_results(cfg: ScanConfig, chunks: list[tuple[int, int]]) -> Iterator[t
 
 def _row_to_record(row: tuple) -> StoppingRecord | CappedWalk:
     n, s, r, _, word, v, capped = row
-    q = ParitySequence(format(word, "b").zfill(s))
+    q = ParitySequence(word_bits(word, s))
     if capped:
         return CappedWalk(n=n, steps=s, r=r, q_prefix=q, last_value=v)
     return StoppingRecord(n=n, s=s, r=r, q=q, value=v)
@@ -210,34 +210,50 @@ class CheckpointState:
     stats: ScanStats
     out_bytes: int
     torn_bytes: int = 0  # length of a final ledger line that lacks its newline
+    # the running SHA-256 after the last whole line, which later lines continue
+    digest: object = field(default_factory=hashlib.sha256, repr=False, compare=False)
+
+
+def _seal(digest, fields: list[str]) -> str:
+    """Add a ledger line's own fields (all but its digest), joined by commas
+    and ended by a newline, to the running hash; return the hex digest that
+    line carries."""
+    digest.update((",".join(fields) + "\n").encode("ascii"))
+    return digest.hexdigest()
 
 
 def checkpoint_save(path: str, config_hash: str, chunk: tuple[int, int],
-                    chunk_stats: tuple, out_bytes: int) -> None:
+                    chunk_stats: tuple, out_bytes: int, digest) -> None:
     """Append one completed chunk's ledger line, creating the file on first use.
 
-    The line is `lo,hi,count,num/den,argmax|-,out_bytes[,n,...]`: the chunk's
-    own stats as _chunk_worker returned them, the output size after the
-    chunk, and the n of each alpha violation in the chunk.
+    The line is `lo,hi,count,num/den,argmax|-,out_bytes,sha256[,n,...]`: the
+    chunk's own stats as _chunk_worker returned them, the output size after
+    the chunk, the running digest, and the n of each alpha violation in the
+    chunk.  digest is the running SHA-256 of the output so far (header
+    included) and of every earlier line's fields; this line's fields are
+    added to it before the hex digest is taken.
     """
     count, num, den, argmax, violations = chunk_stats
-    fields = (*chunk, count, f"{num}/{den}", "-" if argmax is None else argmax,
-              out_bytes, *(n for n, _ in violations))
+    own = [str(f) for f in (*chunk, count, f"{num}/{den}",
+                             "-" if argmax is None else argmax, out_bytes)]
+    viol = [str(n) for n, _ in violations]
+    line = ",".join([*own, _seal(digest, own + viol), *viol])
     fresh = not os.path.exists(path)
     with open(path, "a", encoding="ascii") as fh:
         if fresh:
             fh.write(f"{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION} {config_hash}\n")
-        fh.write(",".join(map(str, fields)) + "\n")
+        fh.write(line + "\n")
         fh.flush()
         os.fsync(fh.fileno())
 
 
-def checkpoint_resume(path: str) -> CheckpointState:
-    """Parse a checkpoint ledger back into resumable state.
+def checkpoint_resume(path: str, out_path: str) -> CheckpointState:
+    """Parse a checkpoint ledger back into resumable state, checking each
+    whole line's digest against the output file at out_path.
 
     A final line without its newline is an append torn by a crash: it is
-    left out of the state and its length is reported as torn_bytes.  The
-    file itself is not changed.
+    left out of the state and its length is reported as torn_bytes.
+    Neither file is changed.
     """
     try:
         with open(path, "rb") as fh:
@@ -258,12 +274,14 @@ def checkpoint_resume(path: str) -> CheckpointState:
                               "delete it to start fresh")
     state = CheckpointState(config_hash=head[2], completed=[], stats=ScanStats(),
                             out_bytes=0, torn_bytes=len(torn))
+    sealed = []  # per whole line: (out_bytes, its fields but the digest, the digest)
     for ln in lines[1:]:
         try:
-            lo, hi, count, ratio, argmax, out_bytes, *viol = ln.split(",")
+            cells = ln.split(",")
+            lo, hi, count, ratio, argmax, out_bytes, hexdigest, *viol = cells
             num, den = ratio.split("/")
             lo, hi, count, num, den, out_bytes = map(int, (lo, hi, count, num, den, out_bytes))
-            if count < 0 or den < 1 or out_bytes < 0:
+            if count < 0 or den < 1 or out_bytes < state.out_bytes:
                 raise ValueError
             chunk = (count, num, den, None if argmax == "-" else int(argmax),
                      [(int(n), "alpha") for n in viol])  # alpha: the one envelope scans check
@@ -276,6 +294,25 @@ def checkpoint_resume(path: str) -> CheckpointState:
         state.completed.append((lo, hi))
         state.stats._merge(chunk)  # the merge a live scan makes after each chunk
         state.out_bytes = out_bytes
+        sealed.append((out_bytes, cells[:6] + viol, hexdigest))
+    if not os.path.exists(out_path):
+        raise CheckpointError(
+            f"checkpoint {path!r} exists but output {out_path!r} "
+            "is missing; delete the checkpoint to start fresh")
+    have = os.path.getsize(out_path)
+    if have < state.out_bytes:
+        raise CheckpointError(
+            f"output {out_path!r} has {have} bytes but checkpoint "
+            f"{path!r} records {state.out_bytes}; delete the "
+            "checkpoint to start fresh")
+    with open(out_path, "rb") as out:
+        for (lo, hi), (out_bytes, fields, hexdigest) in zip(state.completed, sealed):
+            state.digest.update(out.read(out_bytes - out.tell()))
+            if _seal(state.digest, fields) != hexdigest:
+                raise CheckpointError(
+                    f"checkpoint {path!r} does not match output {out_path!r} "
+                    f"at chunk {lo}..{hi} (prefix digest differs); delete the "
+                    "checkpoint to start fresh")
     return state
 
 
@@ -299,7 +336,7 @@ def run_scan(cfg: ScanConfig, out_path: str, header: str,
     done_chunks = 0
 
     if cfg.checkpoint_path and os.path.exists(cfg.checkpoint_path):
-        state = checkpoint_resume(cfg.checkpoint_path)
+        state = checkpoint_resume(cfg.checkpoint_path, out_path)
         if state.config_hash != cfg_hash:
             raise CheckpointError(
                 f"checkpoint {cfg.checkpoint_path!r} belongs to a different scan "
@@ -308,16 +345,6 @@ def run_scan(cfg: ScanConfig, out_path: str, header: str,
             raise CheckpointError(
                 f"checkpoint {cfg.checkpoint_path!r} chunks do not align with "
                 "this scan; delete it to start fresh")
-        if not os.path.exists(out_path):
-            raise CheckpointError(
-                f"checkpoint {cfg.checkpoint_path!r} exists but output {out_path!r} "
-                "is missing; delete the checkpoint to start fresh")
-        have = os.path.getsize(out_path)
-        if have < state.out_bytes:
-            raise CheckpointError(
-                f"output {out_path!r} has {have} bytes but checkpoint "
-                f"{cfg.checkpoint_path!r} records {state.out_bytes}; delete the "
-                "checkpoint to start fresh")
         if state.torn_bytes:  # cut the torn append, so its chunk is redone
             os.truncate(cfg.checkpoint_path,
                         os.path.getsize(cfg.checkpoint_path) - state.torn_bytes)
@@ -327,10 +354,11 @@ def run_scan(cfg: ScanConfig, out_path: str, header: str,
         out = open(out_path, "r+b")
         out.truncate(state.out_bytes)  # drop any partial tail from an unclean stop
         out.seek(state.out_bytes)
-        out_bytes = state.out_bytes
+        out_bytes, digest = state.out_bytes, state.digest
     else:  # no chunk is on the ledger yet, so the output starts over
         out = open(out_path, "wb")
-        out_bytes = out.write((header + "\n").encode("ascii"))
+        head = (header + "\n").encode("ascii")
+        out_bytes, digest = out.write(head), hashlib.sha256(head)
 
     todo = chunks[done_chunks:]
     if max_chunks is not None:
@@ -346,7 +374,9 @@ def run_scan(cfg: ScanConfig, out_path: str, header: str,
             stats._merge(chunk_stats)
             done_chunks += 1
             if cfg.checkpoint_path:
-                checkpoint_save(cfg.checkpoint_path, cfg_hash, (lo, hi), chunk_stats, out_bytes)
+                digest.update(payload)
+                checkpoint_save(cfg.checkpoint_path, cfg_hash, (lo, hi), chunk_stats,
+                                out_bytes, digest)
     finally:
         out.close()
     return stats, done_chunks == len(chunks)

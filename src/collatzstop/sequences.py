@@ -62,13 +62,24 @@ def parse_sequence(text: str) -> ParitySequence:
     return ParitySequence(text)
 
 
+def word_bits(word: int, s: int) -> str:
+    """The {1,0} text of a parity word of length s >= 1 packed as an integer,
+    as the walk kernel packs it: the first step is the most significant bit."""
+    return format(word, "b").zfill(s)
+
+
 def weighted_sum(q: ParitySequence) -> int:
     """The additive term W of the closed form, an exact nonnegative integer.
 
-    Zero exactly when the word has no odd step.
+    Grown along the word as the walk kernel grows it: an odd step at length
+    L maps W -> 3W + 2^L, an even step leaves it unchanged.  Zero exactly
+    when the word has no odd step.
     """
-    r = q.r
-    return sum(3 ** (r - i) * 2 ** (pos - 1) for i, pos in enumerate(q.one_positions, 1))
+    w = 0
+    for length, bit in enumerate(q.bits):
+        if bit == "1":
+            w = 3 * w + (1 << length)
+    return w
 
 
 def apply_closed_form(q: ParitySequence, n: int) -> ExactOutcome:
@@ -88,41 +99,14 @@ def sigma(q: ParitySequence) -> Fraction:
     return Fraction(weighted_sum(q), 1 << q.s)
 
 
-def is_parity_prefix(q: ParitySequence, n: int) -> bool:
-    """True iff the parities of the first s iterates of n equal q bit for bit."""
-    if n < 1:
-        raise DomainError(f"start value must be >= 1, got {n}")
-    v = n
-    for b in q.bits:
-        if v & 1:
-            if b != "1":
-                return False
-            v = (3 * v + 1) >> 1
-        else:
-            if b != "0":
-                return False
-            v >>= 1
-    return True
-
-
 def lower_unit_numerator(r: int) -> int:
     """3^(r-1) - 2^(r-1): the conservative per-word floor used by every bound
     here (sigma floors, the alpha envelope, cycle-number bounds).
 
-    Note this undershoots the true minimum of weighted_sum (see
-    min_weighted_sum); both are kept because the bound chain is built on this
+    Note this undershoots the true minimum of weighted_sum over words with r
+    odd steps, 3^r - 2^r (all ones leading); the bound chain is built on this
     weaker unit.  Zero when r = 1.
     """
     if r < 1:
         raise DomainError(f"need at least one odd step, got r={r}")
     return 3 ** (r - 1) - 2 ** (r - 1)
-
-
-def min_weighted_sum(r: int) -> int:
-    """3^r - 2^r: the true minimum of weighted_sum over words with r ones,
-    attained when all ones lead (positions 1..r).  Verified exhaustively in
-    the test suite for word lengths up to 12.
-    """
-    if r < 1:
-        raise DomainError(f"need at least one odd step, got r={r}")
-    return 3 ** r - 2 ** r

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -13,6 +14,7 @@ from collatzstop import (
     matveev_constant, matveev_constant_value, matveev_log10_gap_bound,
     parse_sequence, ratio_records, stopping_number_bounds, unique_s_for_r,
 )
+from collatzstop.cli import main
 from reference_tables import TABLE4
 
 
@@ -72,6 +74,15 @@ def test_cycle_enumeration_through_12():
     cands = enumerate_cycle_candidates(12)
     assert [c.q.bits for c in cands] == ["10" * k for k in range(1, 7)]
     assert all(c.m1 == 1 for c in cands)
+
+
+def test_cli_cycles_through_20_is_pinned(tmp_path):
+    # SHA-256 of `cycles --s-max 20` as the literal-sum search wrote it, which
+    # the golden cases (s <= 12) do not reach
+    out = tmp_path / "c.csv"
+    assert main(["cycles", "--s-max", "20", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "f00ef8cbe1fd640e9943fb435de3eab1619f41b22136b5067489b13e23b7d86b"
 
 
 def test_cycle_upper_bound_examples():

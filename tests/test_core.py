@@ -52,6 +52,15 @@ def test_step_cap_carries_partial_walk():
     assert is_parity_prefix(parse_sequence(err.word), 27)
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_descend_refuses_step_cap_below_1(cap):
+    from collatzstop.core import descend
+
+    for walk in (lambda: descend(27, cap), lambda: stopping_record(27, cap)):
+        with pytest.raises(DomainError, match=f"step_cap must be >= 1, got {cap}"):
+            walk()
+
+
 def test_trajectory_examples():
     assert trajectory(5, 10) == [(8, 1), (4, 0), (2, 0), (1, 0)]
     assert trajectory(1, 3) == [(2, 1), (1, 0), (2, 1)]

@@ -234,6 +234,8 @@ def test_cli_verify_table4_ratio_above_log3_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("text,line,reason", [
     ("n,class,s,r,q,value,capped\n1,12i+1,2,1,10,1,1\n", 2, "no scan starts below 2"),
+    ("n,class,s,r,q,value,capped\n27,12i+3,0,0,0,27,1\n", 2,
+     "no scan walk takes fewer than 1 step, got s = 0"),
     ("n,q,F\n4,0,2\n5,10,4\n", 2, "table 2 holds only 12i+3, 12i+7 and 12i+11"),
     ("n,s,r,r_over_s,pow_ratio\n3,4,2,0.500000000000000,0.562500000000000\n"
      "4,1,0,0,0.500000000000000\n", 3, "row for 4 should not appear in fig2"),
@@ -245,7 +247,7 @@ def test_cli_verify_table4_ratio_above_log3_2(tmp_path, capsys):
      "alpha must be > 0, got -1"),
     ("r,s,alpha,pow_ratio,m1_upper,m1_lower,lower_positive\n"
      "1,2,0,0.750000000000000,0,-0.199023144560607,0\n", 2, "alpha must be > 0, got 0"),
-], ids=["scan-n-below-2", "table2-class-12i+4", "fig2-even-n", "table3-wrong-length",
+], ids=["scan-n-below-2", "scan-zero-steps", "table2-class-12i+4", "fig2-even-n", "table3-wrong-length",
         "traj-past-1", "cycles-negative-alpha", "bounds-zero-alpha"])
 def test_cli_verify_refuses_unproducible_row(tmp_path, capsys, text, line, reason):
     path = tmp_path / "r.csv"
@@ -273,6 +275,8 @@ def test_cli_verify_empty_file(tmp_path, capsys):
     (["cycles", "--s-max", "6", "--alpha", "0"], "alpha must be > 0, got 0"),
     (["bounds", "--r", "3", "--alpha=-7/3"], "alpha must be > 0, got -7/3"),
     (["bounds", "--r", "3", "--alpha", "0"], "alpha must be > 0, got 0"),
+    (["stop", "27", "--step-cap", "0"], "step_cap must be >= 1, got 0"),
+    (["stop", "27", "--step-cap", "-1"], "step_cap must be >= 1, got -1"),
 ])
 def test_cli_out_of_domain_arguments_write_nothing(tmp_path, capsys, argv, reason):
     out = tmp_path / "o.csv"

@@ -1,3 +1,4 @@
+import hashlib
 import os
 from fractions import Fraction
 
@@ -116,7 +117,7 @@ def test_scan_resume_byte_identical(tmp_path):
     stats, done = scan_to_csv("scan", ScanConfig(**cfg, checkpoint_path=str(ck)),
                               str(part), max_chunks=3)
     assert not done
-    state = checkpoint_resume(str(ck))
+    state = checkpoint_resume(str(ck), str(part))
     assert len(state.completed) == 3
     assert state.completed[-1] == (2002, 3001)
 
@@ -173,7 +174,7 @@ def test_resume_drops_torn_ledger_line(tmp_path, capsys, done):
     assert capsys.readouterr().out == want_summary
     assert out.read_bytes() == whole.read_bytes()
     assert ck.read_text().endswith("\n")
-    assert len(checkpoint_resume(str(ck)).completed) == 3
+    assert len(checkpoint_resume(str(ck), str(out)).completed) == 3
 
 
 def test_rejected_resume_leaves_torn_ledger_alone(tmp_path):
@@ -182,7 +183,8 @@ def test_rejected_resume_leaves_torn_ledger_alone(tmp_path):
                                    checkpoint_path=str(ck)), str(out), max_chunks=2)
     os.truncate(ck, ck.stat().st_size - 3)
     torn = ck.read_bytes()
-    assert checkpoint_resume(str(ck)).torn_bytes == len(torn) - len(torn.rstrip(b"0123456789,/-"))
+    assert checkpoint_resume(str(ck), str(out)).torn_bytes == \
+        len(torn) - len(torn.rstrip(b"0123456789abcdef,/-"))
     assert ck.read_bytes() == torn
     with pytest.raises(CheckpointError):
         scan_to_csv("scan", ScanConfig(start=2, end=4000, chunk_size=500,
@@ -201,15 +203,15 @@ def test_resume_rejects_mismatched_config(tmp_path):
 
 
 def test_resume_rejects_corrupt_checkpoint(tmp_path):
-    ck = tmp_path / "bad.ck"
+    ck, out = tmp_path / "bad.ck", str(tmp_path / "bad.csv")
     ck.write_text("not a checkpoint\n")
     with pytest.raises(CheckpointError):
-        checkpoint_resume(str(ck))
+        checkpoint_resume(str(ck), out)
     ck.write_text("")
     with pytest.raises(CheckpointError):
-        checkpoint_resume(str(ck))
+        checkpoint_resume(str(ck), out)
     with pytest.raises(CheckpointError):
-        checkpoint_resume(str(tmp_path / "missing.ck"))
+        checkpoint_resume(str(tmp_path / "missing.ck"), out)
 
 
 def test_resume_requires_output_file(tmp_path):
@@ -280,7 +282,7 @@ def _assert_refused(argv, out, ck, capsys):
     return err
 
 
-# fields of a ledger line: lo,hi,count,num/den,argmax,out_bytes; None drops the field
+# fields of a ledger line: lo,hi,count,num/den,argmax,out_bytes,sha256; None drops the field
 @pytest.mark.parametrize("field,value", [
     (0, "a"), (1, "a"), (2, "a"), (3, "a/1"), (3, "1/a"), (4, "a"), (5, "a"),
     (3, "5"), (3, "5/0"), (2, "-1"), (5, "-1"), (3, None),
@@ -297,6 +299,22 @@ def test_resume_refuses_corrupt_ledger_field(tmp_path, capsys, field, value):
     assert "corrupt ledger line" in _assert_refused(argv, out, ck, capsys)
 
 
+def _write_sealed(ck, out, lines):
+    """Write ledger lines with each line's digest recomputed by the v3 rule:
+    a running SHA-256 over the output up to the line's out_bytes, then the
+    line's other fields joined by commas with a newline."""
+    data, digest, pos = out.read_bytes(), hashlib.sha256(), 0
+    sealed = lines[:1]
+    for ln in lines[1:]:
+        cells = ln.split(",")
+        own = cells[:6] + cells[7:]
+        digest.update(data[pos:int(cells[5])])
+        pos = int(cells[5])
+        digest.update((",".join(own) + "\n").encode("ascii"))
+        sealed.append(",".join(cells[:6] + [digest.hexdigest()] + cells[7:]))
+    ck.write_text("\n".join(sealed) + "\n")
+
+
 @pytest.mark.parametrize("line,lo,reason", [
     (2, 1003, "non-contiguous chunks"),   # the second chunk does not follow the first
     (1, 3, "do not align"),               # contiguous, but not this scan's chunks
@@ -305,7 +323,7 @@ def test_resume_refuses_misplaced_chunks(tmp_path, capsys, line, lo, reason):
     argv, out, ck = _ledger_scan(tmp_path, 2)
     lines = ck.read_text().splitlines()
     lines[line] = f"{lo}," + lines[line].split(",", 1)[1]
-    ck.write_text("\n".join(lines) + "\n")
+    _write_sealed(ck, out, lines)  # a whole, well-sealed ledger that is still wrong
     assert reason in _assert_refused(argv, out, ck, capsys)
 
 
@@ -315,3 +333,50 @@ def test_resume_refuses_v1_ledger(tmp_path, capsys):
     magic, _, cfg_hash = head.split()
     ck.write_text(f"{magic} v1 {cfg_hash}\n{rest}")
     assert repr(f"{magic} v1 {cfg_hash}") in _assert_refused(argv, out, ck, capsys)
+
+
+def test_resume_refuses_v2_ledger(tmp_path, capsys):
+    argv, out, ck = _ledger_scan(tmp_path, 1)
+    head, rest = ck.read_text().split("\n", 1)
+    magic, _, cfg_hash = head.split()
+    ck.write_text(f"{magic} v2 {cfg_hash}\n{rest}")
+    assert repr(f"{magic} v2 {cfg_hash}") in _assert_refused(argv, out, ck, capsys)
+
+
+def test_ledger_is_sealed_by_the_v3_rule(tmp_path):
+    _, out, ck = _ledger_scan(tmp_path, 2)
+    lines = ck.read_text().splitlines()
+    _write_sealed(ck, out, lines)
+    assert ck.read_text().splitlines() == lines
+
+
+def _edit_last_line(ck, edit):
+    *head, last = ck.read_text().splitlines()
+    cells = last.split(",")
+    edit(cells)
+    ck.write_text("\n".join([*head, ",".join(cells)]) + "\n")
+
+
+# whole lines that parse but are not what the scan wrote: each must be refused
+@pytest.mark.parametrize("edit", [
+    lambda c: c.__setitem__(5, str(int(c[5]) - 40)),   # out_bytes lowered by 40
+    lambda c: c.__setitem__(2, str(int(c[2]) + 1)),    # count
+    lambda c: c.__setitem__(3, "1/1"),                 # ratio
+    lambda c: c.__setitem__(4, "7"),                   # argmax
+    lambda c: c.append("5"),                           # an appended violation n
+], ids=["out_bytes-40", "count", "ratio", "argmax", "violation"])
+def test_resume_refuses_edited_ledger_line(tmp_path, capsys, edit):
+    argv, out, ck = _ledger_scan(tmp_path, 2)
+    _edit_last_line(ck, edit)
+    err = _assert_refused(argv, out, ck, capsys)
+    assert "prefix digest differs" in err and str(out) in err
+
+
+@pytest.mark.parametrize("offset", [0, 100, 30000])  # header, first chunk, second chunk
+def test_resume_refuses_flipped_output_byte(tmp_path, capsys, offset):
+    argv, out, ck = _ledger_scan(tmp_path, 2)
+    data = bytearray(out.read_bytes())
+    data[offset] ^= 1
+    out.write_bytes(bytes(data))
+    err = _assert_refused(argv, out, ck, capsys)
+    assert "prefix digest differs" in err and str(out) in err

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from collatzstop import (
     ParseError, apply_closed_form, is_parity_prefix, lower_unit_numerator,
-    min_weighted_sum, parse_sequence, shortcut_step, sigma, stopping_record,
-    weighted_sum,
+    parse_sequence, shortcut_step, sigma, stopping_record, weighted_sum,
 )
 
 words = st.text(alphabet="01", min_size=1, max_size=40)
@@ -43,6 +42,24 @@ def test_weighted_sum(bits, total):
     assert weighted_sum(parse_sequence(bits)) == total
 
 
+def _literal_weighted_sum(bits):
+    # the closed form's W written out: sum over the ones of 3^(r-i) 2^(p_i - 1)
+    ones = [p for p, b in enumerate(bits, 1) if b == "1"]
+    return sum(3 ** (len(ones) - i) * 2 ** (p - 1) for i, p in enumerate(ones, 1))
+
+
+def test_weighted_sum_matches_literal_sum_exhaustive():
+    for s in range(1, 13):
+        for packed in range(1 << s):
+            bits = format(packed, "b").zfill(s)
+            assert weighted_sum(parse_sequence(bits)) == _literal_weighted_sum(bits)
+
+
+@given(words)
+def test_weighted_sum_matches_literal_sum(bits):
+    assert weighted_sum(parse_sequence(bits)) == _literal_weighted_sum(bits)
+
+
 def test_weighted_sum_zero_iff_no_ones():
     for bits in ("0", "00", "0000"):
         assert weighted_sum(parse_sequence(bits)) == 0
@@ -70,6 +87,15 @@ def test_is_parity_prefix_examples():
     assert is_parity_prefix(parse_sequence("1100"), 51)
 
 
+def test_is_parity_prefix_agrees_with_closed_form():
+    # a word is n's parity prefix exactly when its closed form is an integer
+    for s in range(1, 9):
+        for packed in range(1 << s):
+            q = parse_sequence(format(packed, "b").zfill(s))
+            for n in range(1, 257):
+                assert is_parity_prefix(q, n) == apply_closed_form(q, n).exact
+
+
 def test_append_recurrence_exhaustive():
     # appending 0 keeps W; appending 1 at length L maps W -> 3W + 2^L
     for s in range(1, 13):
@@ -90,7 +116,7 @@ def test_min_weighted_sum_exhaustive():
                 for pos in itertools.combinations(range(1, s + 1), r)
             )
             front = weighted_sum(parse_sequence("1" * r + "0" * (s - r)))
-            assert best == front == min_weighted_sum(r) == 3 ** r - 2 ** r
+            assert best == front == 3 ** r - 2 ** r
             assert lower_unit_numerator(r) < best
 
 
