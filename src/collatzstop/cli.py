@@ -12,8 +12,10 @@ from fractions import Fraction
 
 from . import reports
 from .bounds import ALPHA, DEFAULT_RECORDS_START
+from .core import DEFAULT_STEP_CAP
 from .errors import (CheckpointError, CycleDetectedError, DomainError,
                      LimitError)
+from .residues import DEFAULT_Q_CAP
 from .scan import CLASS_FILTERS, ScanConfig
 
 
@@ -54,10 +56,10 @@ def _scan_command(sub, kind: str, help: str, *, start: int, end: int, cls: str) 
     p.add_argument("--start", type=int, default=start)
     p.add_argument("--end", type=int, default=end)
     p.add_argument("--class", dest="class_filter", choices=CLASS_FILTERS, default=cls)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=ScanConfig.workers)
     p.add_argument("--checkpoint", help="ledger file enabling resume")
-    p.add_argument("--step-cap", type=int, default=10 ** 5)
-    p.add_argument("--chunk-size", type=int, default=10_000)
+    p.add_argument("--step-cap", type=int, default=ScanConfig.step_cap)
+    p.add_argument("--chunk-size", type=int, default=ScanConfig.chunk_size)
     p.add_argument("--max-chunks", type=int,
                    help="stop cleanly after this many chunks (resume later)")
     p.add_argument("--out", required=True, help="output CSV path")
@@ -72,7 +74,7 @@ def build_parser() -> Parser:
     p = _report_command(sub, "stop", "minimal descent record of one start value",
                         lambda a: reports.stop_report(a.n, a.step_cap))
     p.add_argument("n", type=int)
-    p.add_argument("--step-cap", type=int, default=10 ** 6)
+    p.add_argument("--step-cap", type=int, default=DEFAULT_STEP_CAP)
 
     p = _report_command(sub, "traj", "iterates of one start value",
                         lambda a: reports.traj_report(a.n, a.limit))
@@ -91,7 +93,7 @@ def build_parser() -> Parser:
     p = _report_command(sub, "table2", "stopping rows for the hard odd classes",
                         lambda a: reports.table2_report(a.max_n, a.q_cap))
     p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--q-cap", type=int, default=15,
+    p.add_argument("--q-cap", type=int, default=DEFAULT_Q_CAP,
                    help="blank the word when longer than this")
 
     p = _report_command(sub, "table3", "census of minimal stopping words by length",
@@ -126,7 +128,7 @@ def build_parser() -> Parser:
     p = sub.add_parser("verify", help="re-derive every row of a CSV produced here")
     p.add_argument("path")
     p.add_argument("--digits", type=int, default=None)
-    p.add_argument("--q-cap", type=int, default=15)
+    p.add_argument("--q-cap", type=int, default=DEFAULT_Q_CAP)
     p.set_defaults(func=_run_verify)
 
     return parser

@@ -177,7 +177,7 @@ def _table2_row(row: tuple[int, str, ParitySequence | None, int]) -> Row:
     return [n, q.bits if q else "", value]
 
 
-def table2_report(max_n: int, q_cap: int = 15) -> Report:
+def table2_report(max_n: int, q_cap: int = res.DEFAULT_Q_CAP) -> Report:
     """Stopping rows for every n <= max_n in 12i+3, then 12i+7, then 12i+11;
     the word is left blank when longer than q_cap."""
     return Report(_TABLE2_HEADER, [_table2_row(row) for row in res.table2_rows(max_n, q_cap)])
@@ -427,7 +427,7 @@ def _table3_check(s: int, m: int) -> Row:
     return _table3_row(s, m, ParitySequence(word_bits(word, s)))
 
 
-def verify_csv(path: str, digits: int | None = None, q_cap: int = 15) -> int:
+def verify_csv(path: str, digits: int | None = None, q_cap: int = res.DEFAULT_Q_CAP) -> int:
     """Re-derive every row of a CSV produced by this package.
 
     Streams the file and returns the number of verified rows; raises

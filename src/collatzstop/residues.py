@@ -17,6 +17,7 @@ from .errors import DomainError, LimitError
 from .sequences import ParitySequence, word_bits
 
 DEFAULT_CENSUS_CAP = 24
+DEFAULT_Q_CAP = 15  # table 2 blanks a word longer than this
 
 _MOD3 = ("3i", "3i+1", "3i+2")
 
@@ -99,7 +100,7 @@ def enumerate_minimal(s: int, cap: int = DEFAULT_CENSUS_CAP) -> list[tuple[int, 
     return out
 
 
-def table2_row(n: int, q_cap: int = 15) -> tuple[int, str, ParitySequence | None, int]:
+def table2_row(n: int, q_cap: int = DEFAULT_Q_CAP) -> tuple[int, str, ParitySequence | None, int]:
     """Stopping row (n, class, q or None, value) of one n in 12i+3, 12i+7
     or 12i+11, the classes table 2 holds; q is None when the word is longer
     than q_cap."""
@@ -110,7 +111,8 @@ def table2_row(n: int, q_cap: int = 15) -> tuple[int, str, ParitySequence | None
     return n, f"12i+{n % 12}", q, value
 
 
-def table2_rows(max_n: int, q_cap: int = 15) -> list[tuple[int, str, ParitySequence | None, int]]:
+def table2_rows(max_n: int,
+                q_cap: int = DEFAULT_Q_CAP) -> list[tuple[int, str, ParitySequence | None, int]]:
     """Stopping rows (n, class, q or None, value) for every n <= max_n in
     12i+3 / 12i+7 / 12i+11"""
     if max_n < 3:

@@ -205,10 +205,9 @@ def _config_hash(cfg: ScanConfig, header: str) -> str:
 
 @dataclass
 class CheckpointState:
-    config_hash: str
-    completed: list[tuple[int, int]]
-    stats: ScanStats
-    out_bytes: int
+    completed: list[tuple[int, int]] = field(default_factory=list)
+    stats: ScanStats = field(default_factory=ScanStats)
+    out_bytes: int = 0
     torn_bytes: int = 0  # length of a final ledger line that lacks its newline
     # the running SHA-256 after the last whole line, which later lines continue
     digest: object = field(default_factory=hashlib.sha256, repr=False, compare=False)
@@ -247,14 +246,19 @@ def checkpoint_save(path: str, config_hash: str, chunk: tuple[int, int],
         os.fsync(fh.fileno())
 
 
-def checkpoint_resume(path: str, out_path: str) -> CheckpointState:
-    """Parse a checkpoint ledger back into resumable state, checking each
-    whole line's digest against the output file at out_path.
+def checkpoint_resume(cfg: ScanConfig, header: str, out_path: str) -> CheckpointState:
+    """Decide whether the ledger at cfg.checkpoint_path resumes this scan,
+    writing the `header` schema to out_path, and parse it back into
+    resumable state.
 
-    A final line without its newline is an append torn by a crash: it is
-    left out of the state and its length is reported as torn_bytes.
-    Neither file is changed.
+    The checks run cheapest first: the ledger's first line must name this
+    scan; each whole line must parse and hold the scan's next chunk; the
+    output must hold every byte the ledger records; and each line's digest
+    must match the output prefix it vouches for.  A final line without its
+    newline is an append torn by a crash: it is left out of the state and
+    its length is reported as torn_bytes.  Neither file is changed.
     """
+    path = cfg.checkpoint_path
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -265,17 +269,15 @@ def checkpoint_resume(path: str, out_path: str) -> CheckpointState:
     # one character per byte, so the torn tail's length is its length on disk
     lines = data.decode("ascii", errors="surrogateescape").split("\n")
     torn = lines.pop()  # "" unless the last append was torn
-    if not lines:
-        raise CheckpointError(f"checkpoint {path!r} is empty; delete it to start fresh")
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != CHECKPOINT_MAGIC or head[1] != f"v{CHECKPOINT_VERSION}":
-        raise CheckpointError(f"checkpoint {path!r} has header {lines[0]!r}, expected "
-                              f"'{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION} <hash>'; "
-                              "delete it to start fresh")
-    state = CheckpointState(config_hash=head[2], completed=[], stats=ScanStats(),
-                            out_bytes=0, torn_bytes=len(torn))
+    want = f"{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION} {_config_hash(cfg, header)}"
+    if lines[:1] != [want]:  # a ledger torn inside its header has no whole line
+        raise CheckpointError(
+            f"checkpoint {path!r} has header {lines[0] if lines else torn!r}, expected {want!r}: "
+            "it was written by another scan or version; fix the arguments or delete it")
+    chunks = _chunks(cfg)
+    state = CheckpointState(torn_bytes=len(torn))
     sealed = []  # per whole line: (out_bytes, its fields but the digest, the digest)
-    for ln in lines[1:]:
+    for i, ln in enumerate(lines[1:]):
         try:
             cells = ln.split(",")
             lo, hi, count, ratio, argmax, out_bytes, hexdigest, *viol = cells
@@ -288,9 +290,10 @@ def checkpoint_resume(path: str, out_path: str) -> CheckpointState:
         except ValueError:
             raise CheckpointError(f"checkpoint {path!r} has a corrupt ledger line: {ln!r}; "
                                   "delete it to start fresh") from None
-        if state.completed and lo != state.completed[-1][1] + 1:
-            raise CheckpointError(f"checkpoint {path!r} has non-contiguous chunks; "
-                                  "delete it to start fresh")
+        if chunks[i:i + 1] != [(lo, hi)]:
+            raise CheckpointError(
+                f"checkpoint {path!r} chunks do not align with this scan: line {i + 2} "
+                f"holds {lo}..{hi}; delete it to start fresh")
         state.completed.append((lo, hi))
         state.stats._merge(chunk)  # the merge a live scan makes after each chunk
         state.out_bytes = out_bytes
@@ -328,28 +331,24 @@ def run_scan(cfg: ScanConfig, out_path: str, header: str,
     is also the supported cancellation point.  Resuming from a checkpoint
     reproduces the uninterrupted file byte for byte, and the same stats,
     violations included: the ledger holds each chunk's own stats, which
-    resume merges as the live scan did.
+    resume merges as the live scan did.  A negative max_chunks, or a
+    checkpoint that resolves to out_path, is a DomainError raised before
+    either file is opened.
     """
+    if max_chunks is not None and max_chunks < 0:
+        raise DomainError(f"max_chunks must be >= 0, got {max_chunks}")
+    if cfg.checkpoint_path and (os.path.realpath(cfg.checkpoint_path)
+                                == os.path.realpath(out_path)):
+        raise DomainError(f"the checkpoint and the output are the same file {out_path!r}")
     chunks = _chunks(cfg)
     cfg_hash = _config_hash(cfg, header)
-    stats = ScanStats()
-    done_chunks = 0
-
+    state = CheckpointState()
     if cfg.checkpoint_path and os.path.exists(cfg.checkpoint_path):
-        state = checkpoint_resume(cfg.checkpoint_path, out_path)
-        if state.config_hash != cfg_hash:
-            raise CheckpointError(
-                f"checkpoint {cfg.checkpoint_path!r} belongs to a different scan "
-                "(config hash mismatch); delete it or fix the arguments")
-        if state.completed and state.completed != chunks[:len(state.completed)]:
-            raise CheckpointError(
-                f"checkpoint {cfg.checkpoint_path!r} chunks do not align with "
-                "this scan; delete it to start fresh")
+        state = checkpoint_resume(cfg, header, out_path)
         if state.torn_bytes:  # cut the torn append, so its chunk is redone
             os.truncate(cfg.checkpoint_path,
                         os.path.getsize(cfg.checkpoint_path) - state.torn_bytes)
-        done_chunks = len(state.completed)
-        stats = state.stats
+    stats, done_chunks = state.stats, len(state.completed)
     if done_chunks:
         out = open(out_path, "r+b")
         out.truncate(state.out_bytes)  # drop any partial tail from an unclean stop

@@ -277,6 +277,10 @@ def test_cli_verify_empty_file(tmp_path, capsys):
     (["bounds", "--r", "3", "--alpha", "0"], "alpha must be > 0, got 0"),
     (["stop", "27", "--step-cap", "0"], "step_cap must be >= 1, got 0"),
     (["stop", "27", "--step-cap", "-1"], "step_cap must be >= 1, got -1"),
+    (["scan", "--end", "3000", "--chunk-size", "1000", "--max-chunks", "-1"],
+     "max_chunks must be >= 0, got -1"),
+    (["fig3", "--end", "1000", "--chunk-size", "100", "--max-chunks", "-2"],
+     "max_chunks must be >= 0, got -2"),
 ])
 def test_cli_out_of_domain_arguments_write_nothing(tmp_path, capsys, argv, reason):
     out = tmp_path / "o.csv"

@@ -10,7 +10,7 @@ from collatzstop import (
     scan_range, stopping_record,
 )
 from collatzstop.cli import main
-from collatzstop.reports import scan_to_csv
+from collatzstop.reports import _SCAN_HEADER, scan_to_csv
 
 
 def test_single_value_scan():
@@ -117,7 +117,7 @@ def test_scan_resume_byte_identical(tmp_path):
     stats, done = scan_to_csv("scan", ScanConfig(**cfg, checkpoint_path=str(ck)),
                               str(part), max_chunks=3)
     assert not done
-    state = checkpoint_resume(str(ck), str(part))
+    state = checkpoint_resume(ScanConfig(**cfg, checkpoint_path=str(ck)), _SCAN_HEADER, str(part))
     assert len(state.completed) == 3
     assert state.completed[-1] == (2002, 3001)
 
@@ -174,16 +174,17 @@ def test_resume_drops_torn_ledger_line(tmp_path, capsys, done):
     assert capsys.readouterr().out == want_summary
     assert out.read_bytes() == whole.read_bytes()
     assert ck.read_text().endswith("\n")
-    assert len(checkpoint_resume(str(ck), str(out)).completed) == 3
+    cfg = ScanConfig(start=2, end=3000, chunk_size=1000, checkpoint_path=str(ck))
+    assert len(checkpoint_resume(cfg, _SCAN_HEADER, str(out)).completed) == 3
 
 
 def test_rejected_resume_leaves_torn_ledger_alone(tmp_path):
     out, ck = tmp_path / "t.csv", tmp_path / "t.ck"
-    scan_to_csv("scan", ScanConfig(start=2, end=3000, chunk_size=500,
-                                   checkpoint_path=str(ck)), str(out), max_chunks=2)
+    cfg = ScanConfig(start=2, end=3000, chunk_size=500, checkpoint_path=str(ck))
+    scan_to_csv("scan", cfg, str(out), max_chunks=2)
     os.truncate(ck, ck.stat().st_size - 3)
     torn = ck.read_bytes()
-    assert checkpoint_resume(str(ck), str(out)).torn_bytes == \
+    assert checkpoint_resume(cfg, _SCAN_HEADER, str(out)).torn_bytes == \
         len(torn) - len(torn.rstrip(b"0123456789abcdef,/-"))
     assert ck.read_bytes() == torn
     with pytest.raises(CheckpointError):
@@ -202,16 +203,45 @@ def test_resume_rejects_mismatched_config(tmp_path):
                                        checkpoint_path=str(ck)), str(out))
 
 
+def test_resume_with_other_arguments_names_the_header(tmp_path, capsys):
+    # the ledger is checked against this scan before the output is looked at
+    argv, out, ck = _ledger_scan(tmp_path, 2)
+    out.unlink()
+    before = ck.read_bytes()
+    capsys.readouterr()
+    assert main([a if a != "3000" else "4000" for a in argv]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"checkpoint error: checkpoint {str(ck)!r} has header ")
+    assert "fix the arguments or delete it" in err and "missing" not in err
+    assert not out.exists() and ck.read_bytes() == before
+
+
+@pytest.mark.parametrize("spelling", ["same", "dotdot", "symlink"])
+def test_checkpoint_path_equal_to_out_is_refused(tmp_path, capsys, spelling):
+    out = tmp_path / "same.csv"
+    ck = {"same": out, "dotdot": tmp_path / "d" / ".." / "same.csv",
+          "symlink": tmp_path / "link.csv"}[spelling]
+    (tmp_path / "d").mkdir()
+    (tmp_path / "link.csv").symlink_to(out)
+    argv = ["scan", "--end", "3000", "--chunk-size", "1000", "--out", str(out),
+            "--checkpoint", str(ck)]
+    assert main(argv) == 2
+    assert "the checkpoint and the output are the same file" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_resume_rejects_corrupt_checkpoint(tmp_path):
     ck, out = tmp_path / "bad.ck", str(tmp_path / "bad.csv")
+    cfg = ScanConfig(start=2, end=10, checkpoint_path=str(ck))
     ck.write_text("not a checkpoint\n")
     with pytest.raises(CheckpointError):
-        checkpoint_resume(str(ck), out)
+        checkpoint_resume(cfg, _SCAN_HEADER, out)
     ck.write_text("")
     with pytest.raises(CheckpointError):
-        checkpoint_resume(str(ck), out)
+        checkpoint_resume(cfg, _SCAN_HEADER, out)
     with pytest.raises(CheckpointError):
-        checkpoint_resume(str(tmp_path / "missing.ck"), out)
+        checkpoint_resume(ScanConfig(start=2, end=10, checkpoint_path=str(tmp_path / "missing.ck")),
+                          _SCAN_HEADER, out)
 
 
 def test_resume_requires_output_file(tmp_path):
@@ -316,7 +346,7 @@ def _write_sealed(ck, out, lines):
 
 
 @pytest.mark.parametrize("line,lo,reason", [
-    (2, 1003, "non-contiguous chunks"),   # the second chunk does not follow the first
+    (2, 1003, "do not align"),            # the second chunk does not follow the first
     (1, 3, "do not align"),               # contiguous, but not this scan's chunks
 ])
 def test_resume_refuses_misplaced_chunks(tmp_path, capsys, line, lo, reason):
@@ -325,6 +355,14 @@ def test_resume_refuses_misplaced_chunks(tmp_path, capsys, line, lo, reason):
     lines[line] = f"{lo}," + lines[line].split(",", 1)[1]
     _write_sealed(ck, out, lines)  # a whole, well-sealed ledger that is still wrong
     assert reason in _assert_refused(argv, out, ck, capsys)
+
+
+def test_resume_refuses_chunk_past_the_end(tmp_path, capsys):
+    argv, out, ck = _ledger_scan(tmp_path, 3)
+    lines = ck.read_text().splitlines()
+    lines.append("3001,4000," + lines[-1].split(",", 2)[2])  # contiguous, past the end
+    _write_sealed(ck, out, lines)
+    assert "do not align" in _assert_refused(argv, out, ck, capsys)
 
 
 def test_resume_refuses_v1_ledger(tmp_path, capsys):
