@@ -29,5 +29,5 @@ print(f"\nspacings between record s values: {spacing[:6]} ...")
 
 print("\nthe same rows in the CSV rendering (15 significant digits):")
 buf = io.BytesIO()
-write_csv(table4_report(s_max=4000, digits=50), buf)
+write_csv(table4_report(s_max=4000), buf)
 print(buf.getvalue().decode(), end="")

@@ -4,12 +4,12 @@ Stopping times and parity words, the closed-form walk evaluator, residue
 classes and families of starters, cycle-number candidates and bounds,
 record ratios approaching log3(2), and parallel checkpointed range scans.
 All number theory is exact (big integers and rationals); irrational
-quantities run in fixed-point decimals of configurable precision.
+quantities run in fixed-point decimals of a fixed working precision.
 """
 
 from .bounds import (CycleCandidate, RatioFlags, RatioRecord,
                      check_ratio_constraints, cycle_candidate,
-                     cycle_lower_bound, cycle_upper_bound, default_digits,
+                     cycle_lower_bound, cycle_upper_bound,
                      enumerate_cycle_candidates, log3_2, matveev_constant,
                      matveev_constant_value, matveev_log10_gap_bound,
                      ratio_records, stopping_number_bounds, unique_s_for_r)
@@ -36,7 +36,7 @@ __all__ = [
     "ScanStats", "StepLimitError", "StoppingRecord", "apply_closed_form",
     "check_ratio_constraints", "checkpoint_resume", "checkpoint_save",
     "class_transition", "classify", "cycle_candidate", "cycle_lower_bound",
-    "cycle_upper_bound", "default_digits", "empirical_alpha",
+    "cycle_upper_bound", "empirical_alpha",
     "enumerate_cycle_candidates", "enumerate_minimal", "family_member",
     "is_parity_prefix", "log3_2", "lower_unit_numerator", "matveev_constant",
     "matveev_constant_value", "matveev_log10_gap_bound", "parse_sequence",

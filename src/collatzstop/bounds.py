@@ -3,15 +3,14 @@
 A word of length s with r odd steps can only witness a descent when
 3r < 2s and 2^(s-1) < 3^r < 2^s; equivalently r/s is squeezed into
 ((1 - 1/s) log3(2), log3(2)).  Power comparisons are always exact big-int;
-everything irrational runs in fixed-point decimals with a configurable
-number of significant digits (default 50, or the COLLATZSTOP_DIGITS
-environment variable), so no result depends on binary floating point.
+everything irrational runs in fixed-point decimals, at DEFAULT_DIGITS
+significant digits (plus guard digits) unless a function is given its own
+`digits`, so no result depends on binary floating point.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -22,7 +21,6 @@ from .errors import DomainError, LimitError
 from .sequences import ParitySequence, lower_unit_numerator, weighted_sum, word_bits
 
 DEFAULT_DIGITS = 50
-DIGITS_ENV_VAR = "COLLATZSTOP_DIGITS"
 _GUARD_DIGITS = 10  # working digits beyond `digits` before a result is rounded
 
 # the envelope W / (3^(r-1) - 2^(r-1)) <= ALPHA: observed, not proven; scans
@@ -31,20 +29,6 @@ ALPHA = 40
 
 DEFAULT_CYCLE_CAP = 20
 DEFAULT_RECORDS_START = 485
-
-
-def default_digits() -> int:
-    """Significant decimal digits used when an operation gets digits=None."""
-    raw = os.environ.get(DIGITS_ENV_VAR)
-    if raw is None:
-        return DEFAULT_DIGITS
-    try:
-        digits = int(raw)
-    except ValueError:
-        raise DomainError(f"{DIGITS_ENV_VAR} must be an integer, got {raw!r}") from None
-    if digits < 30:
-        raise DomainError(f"{DIGITS_ENV_VAR} must be >= 30, got {digits}")
-    return digits
 
 
 def _rounded(raw: Callable[[], Decimal], digits: int) -> Decimal:
@@ -92,23 +76,21 @@ class CycleCandidate:
 
 @dataclass(frozen=True)
 class RatioRecord:
-    """An (s, r) pair setting a new strict minimum of log3(2) - r/s."""
+    """An (s, r) pair setting a new strict minimum of log3(2) - r/s; ratio_records
+    emits one only where the lower ratio bound and the power bracket hold."""
 
     s: int
     r: int
     gap: Decimal
     log10_gap: float
-    lower_ok: bool
-    ratio_ok: bool
 
 
-def check_ratio_constraints(s: int, r: int, digits: int | None = None) -> RatioFlags:
+def check_ratio_constraints(s: int, r: int, digits: int = DEFAULT_DIGITS) -> RatioFlags:
     """Evaluate all four constraints; powers exactly, ratios in decimals."""
     if s < 1:
         raise DomainError(f"s must be >= 1, got {s}")
     if r < 0:
         raise DomainError(f"r must be >= 0, got {r}")
-    digits = default_digits() if digits is None else digits
     p3 = 3 ** r
     power = (1 << (s - 1)) < p3 < (1 << s)
     with localcontext() as ctx:
@@ -200,7 +182,7 @@ def cycle_upper_bound(r: int, s: int, alpha: Fraction | int = ALPHA) -> Fraction
     return alpha * Fraction(lower_unit_numerator(r), den)
 
 
-def cycle_lower_bound(r: int, s: int, digits: int | None = None) -> Decimal:
+def cycle_lower_bound(r: int, s: int, digits: int = DEFAULT_DIGITS) -> Decimal:
     """(1 - e1 - 3*e2) / (3*e1) with e1 = 1 - 3^r/2^s and
     e2 = 2^-((1 - log3(2)) s + 1).
 
@@ -212,7 +194,6 @@ def cycle_lower_bound(r: int, s: int, digits: int | None = None) -> Decimal:
     den = (1 << s) - 3 ** r
     if den <= 0:
         raise DomainError(f"2^{s} <= 3^{r}: gap not positive")
-    digits = default_digits() if digits is None else digits
 
     def raw() -> Decimal:
         e1 = Decimal(den) / Decimal(1 << s)
@@ -277,12 +258,10 @@ def _record_from(s: int, r: int, digits: int) -> RatioRecord:
     gap_raw = _gap_raw(s, r, digits)
     gap = _rounded(lambda: gap_raw, digits)
     log10_gap = float(_rounded(gap_raw.log10, digits))
-    flags = check_ratio_constraints(s, r, digits)
-    return RatioRecord(s=s, r=r, gap=gap, log10_gap=log10_gap,
-                       lower_ok=flags.ratio_lower, ratio_ok=flags.power)
+    return RatioRecord(s=s, r=r, gap=gap, log10_gap=log10_gap)
 
 
-def ratio_records(s_min: int, s_max: int, digits: int | None = None) -> list[RatioRecord]:
+def ratio_records(s_min: int, s_max: int, digits: int = DEFAULT_DIGITS) -> list[RatioRecord]:
     """Scan s ascending with r = floor(s * log3(2)); emit a record whenever
     the gap log3(2) - r/s sets a new strict minimum and both the lower ratio
     bound and the exact power bracket hold.
@@ -295,7 +274,6 @@ def ratio_records(s_min: int, s_max: int, digits: int | None = None) -> list[Rat
         raise DomainError(f"s_min must be >= 2, got {s_min}")
     if s_max < s_min:
         raise DomainError(f"s_max must be >= s_min, got {s_max} < {s_min}")
-    digits = default_digits() if digits is None else digits
     if digits < 30:
         raise DomainError(f"digits must be >= 30, got {digits}")
 

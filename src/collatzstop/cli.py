@@ -102,10 +102,9 @@ def build_parser() -> Parser:
     p.add_argument("--s-max", type=int, default=13)
 
     p = _report_command(sub, "table4", "record ratios closest to log3(2)",
-                        lambda a: reports.table4_report(a.s_max, a.digits, a.s_min))
+                        lambda a: reports.table4_report(a.s_max, a.s_min))
     p.add_argument("--s-max", type=int, required=True)
     p.add_argument("--s-min", type=int, default=DEFAULT_RECORDS_START)
-    p.add_argument("--digits", type=int, default=None)
 
     p = _report_command(sub, "cycles", "integer fixed-point candidates over all words",
                         lambda a: reports.cycles_report(a.s_max, a.alpha))
@@ -113,10 +112,9 @@ def build_parser() -> Parser:
     p.add_argument("--alpha", type=Fraction, default=Fraction(ALPHA))
 
     p = _report_command(sub, "bounds", "cycle-number bound curves for r = 1..R",
-                        lambda a: reports.bounds_report(a.r_max, a.alpha, a.digits))
+                        lambda a: reports.bounds_report(a.r_max, a.alpha))
     p.add_argument("--r", dest="r_max", type=int, required=True)
     p.add_argument("--alpha", type=Fraction, default=Fraction(ALPHA))
-    p.add_argument("--digits", type=int, default=None)
 
     _scan_command(sub, "scan", "stopping records over a range, to CSV",
                   start=2, end=10 ** 5, cls="all")
@@ -127,7 +125,6 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("verify", help="re-derive every row of a CSV produced here")
     p.add_argument("path")
-    p.add_argument("--digits", type=int, default=None)
     p.add_argument("--q-cap", type=int, default=DEFAULT_Q_CAP)
     p.set_defaults(func=_run_verify)
 
@@ -151,7 +148,7 @@ def _run_scan(kind: str, args) -> int:
 
 
 def _run_verify(args) -> int:
-    count = reports.verify_csv(args.path, args.digits, args.q_cap)
+    count = reports.verify_csv(args.path, args.q_cap)
     print(f"verified {count} rows")
     return 0
 

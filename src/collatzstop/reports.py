@@ -218,25 +218,23 @@ def table3_report(s_min: int, s_max: int, cap: int = res.DEFAULT_CENSUS_CAP) -> 
 _TABLE4_HEADER = "s,r,lower,ratio,log3_2,log10_gap"
 
 
-def _table4_row(s: int, r: int, digits: int) -> Row:
-    gap = bnd._gap_raw(s, r, digits)
+def _table4_row(s: int, r: int) -> Row:
+    gap = bnd._gap_raw(s, r, bnd.DEFAULT_DIGITS)
     if gap <= 0:
         raise DomainError(f"r/s = {r}/{s} is not below log3(2)")
     with localcontext() as ctx:
-        ctx.prec = digits
-        gap = +gap  # the record's gap: log3(2) - r/s rounded to `digits`
-        l32 = bnd.log3_2(digits)
+        ctx.prec = bnd.DEFAULT_DIGITS
+        gap = +gap  # the record's gap: log3(2) - r/s rounded to DEFAULT_DIGITS
+        l32 = bnd.log3_2(bnd.DEFAULT_DIGITS)
         lower = l32 * (s - 1) / s
         ratio = Decimal(r) / Decimal(s)
         log10_gap = gap.log10()
     return [s, r, render_sig(lower), render_sig(ratio), render_sig(l32), render_sig(log10_gap)]
 
 
-def table4_report(s_max: int, digits: int | None = None,
-                  s_min: int = bnd.DEFAULT_RECORDS_START) -> Report:
-    digits = bnd.default_digits() if digits is None else digits
-    records = bnd.ratio_records(s_min, s_max, digits)
-    return Report(_TABLE4_HEADER, [_table4_row(rec.s, rec.r, digits) for rec in records])
+def table4_report(s_max: int, s_min: int = bnd.DEFAULT_RECORDS_START) -> Report:
+    records = bnd.ratio_records(s_min, s_max)
+    return Report(_TABLE4_HEADER, [_table4_row(rec.s, rec.r) for rec in records])
 
 
 # ---------------------------------------------------------------- cycles
@@ -262,17 +260,16 @@ def cycles_report(s_max: int, alpha: Fraction | int = bnd.ALPHA,
 _BOUNDS_HEADER = "r,s,alpha,pow_ratio,m1_upper,m1_lower,lower_positive"
 
 
-def _bounds_row(r: int, alpha: Fraction, digits: int) -> Row:
+def _bounds_row(r: int, alpha: Fraction) -> Row:
     s = bnd.unique_s_for_r(r)
     upper = bnd.cycle_upper_bound(r, s, alpha)
-    lower = bnd.cycle_lower_bound(r, s, digits)
+    lower = bnd.cycle_lower_bound(r, s)
     return [r, s, render_rational(alpha), render_ratio(3 ** r, 1 << s),
             render_ratio(upper.numerator, upper.denominator), render_sig(lower),
             int(lower > 0)]
 
 
-def bounds_report(r_max: int, alpha: Fraction | int = bnd.ALPHA,
-                  digits: int | None = None) -> Report:
+def bounds_report(r_max: int, alpha: Fraction | int = bnd.ALPHA) -> Report:
     """Cycle-number bound curves for r = 1 .. r_max at each r's unique s.
 
     The arguments are checked before any row is built, so nothing is
@@ -280,11 +277,8 @@ def bounds_report(r_max: int, alpha: Fraction | int = bnd.ALPHA,
     """
     if r_max < 1:
         raise DomainError(f"r must be >= 1, got {r_max}")
-    digits = bnd.default_digits() if digits is None else digits
-    if digits < 1:
-        raise DomainError(f"digits must be >= 1, got {digits}")
     alpha = bnd.envelope_alpha(alpha)
-    return Report(_BOUNDS_HEADER, (_bounds_row(r, alpha, digits) for r in range(1, r_max + 1)))
+    return Report(_BOUNDS_HEADER, (_bounds_row(r, alpha) for r in range(1, r_max + 1)))
 
 
 # ---------------------------------------------------------------- scans
@@ -427,7 +421,7 @@ def _table3_check(s: int, m: int) -> Row:
     return _table3_row(s, m, ParitySequence(word_bits(word, s)))
 
 
-def verify_csv(path: str, digits: int | None = None, q_cap: int = res.DEFAULT_Q_CAP) -> int:
+def verify_csv(path: str, q_cap: int = res.DEFAULT_Q_CAP) -> int:
     """Re-derive every row of a CSV produced by this package.
 
     Streams the file and returns the number of verified rows; raises
@@ -437,10 +431,9 @@ def verify_csv(path: str, digits: int | None = None, q_cap: int = res.DEFAULT_Q_
     traj rows must instead follow the walk from the first row's n, step
     1, 2, 3, ..., and may not go past the point where it reaches 1.  A traj
     file that stops early still verifies, since `traj --limit` writes one.
-    Reports parameterized by precision or caps are re-derived at the given
-    values, which must match the producing run.
+    Only table2's word cap changes bytes, so q_cap must match the producing
+    run; every other report re-derives from its rows alone.
     """
-    digits = bnd.default_digits() if digits is None else digits
     traj_walk: Iterator[Row] | None = None  # traj only: the rows still expected
 
     def traj_row(c: list[str]) -> Row:
@@ -457,10 +450,10 @@ def verify_csv(path: str, digits: int | None = None, q_cap: int = res.DEFAULT_Q_
         _TABLE1_HEADER: lambda c: _table1_row(int(c[0])),
         _TABLE2_HEADER: lambda c: _table2_row(res.table2_row(int(c[0]), q_cap)),
         _TABLE3_HEADER: lambda c: _table3_check(int(c[0]), int(c[7])),
-        _TABLE4_HEADER: lambda c: _table4_row(int(c[0]), int(c[1]), digits),
+        _TABLE4_HEADER: lambda c: _table4_row(int(c[0]), int(c[1])),
         _CYCLES_HEADER: lambda c: _cycles_row(
             bnd.cycle_candidate(parse_sequence(c[2])), Fraction(c[6])),
-        _BOUNDS_HEADER: lambda c: _bounds_row(int(c[0]), Fraction(c[2]), digits),
+        _BOUNDS_HEADER: lambda c: _bounds_row(int(c[0]), Fraction(c[2])),
         _SCAN_HEADER: lambda c: _scan_kind_line("scan", int(c[0]), int(c[2])),
         _FIG2_HEADER: lambda c: _scan_kind_line("fig2", int(c[0]), int(c[1])),
         _FIG3_HEADER: lambda c: _scan_kind_line("fig3", int(c[0]), int(c[1])),

@@ -223,7 +223,8 @@ def _seal(digest, fields: list[str]) -> str:
 
 def checkpoint_save(path: str, config_hash: str, chunk: tuple[int, int],
                     chunk_stats: tuple, out_bytes: int, digest) -> None:
-    """Append one completed chunk's ledger line, creating the file on first use.
+    """Append one completed chunk's ledger line, after the header line when the
+    ledger is empty.
 
     The line is `lo,hi,count,num/den,argmax|-,out_bytes,sha256[,n,...]`: the
     chunk's own stats as _chunk_worker returned them, the output size after
@@ -237,9 +238,8 @@ def checkpoint_save(path: str, config_hash: str, chunk: tuple[int, int],
                              "-" if argmax is None else argmax, out_bytes)]
     viol = [str(n) for n, _ in violations]
     line = ",".join([*own, _seal(digest, own + viol), *viol])
-    fresh = not os.path.exists(path)
     with open(path, "a", encoding="ascii") as fh:
-        if fresh:
+        if fh.tell() == 0:  # new, or cut back to nothing from a torn header
             fh.write(f"{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION} {config_hash}\n")
         fh.write(line + "\n")
         fh.flush()
@@ -252,7 +252,9 @@ def checkpoint_resume(cfg: ScanConfig, header: str, out_path: str) -> Checkpoint
     resumable state.
 
     The checks run cheapest first: the ledger's first line must name this
-    scan; each whole line must parse and hold the scan's next chunk; the
+    scan, or else the whole ledger must be a cut-short prefix of that line
+    (empty included), which vouches for no chunk and so starts fresh; each
+    whole line must parse and hold the scan's next chunk; the
     output must hold every byte the ledger records; and each line's digest
     must match the output prefix it vouches for.  A final line without its
     newline is an append torn by a crash: it is left out of the state and
@@ -270,7 +272,9 @@ def checkpoint_resume(cfg: ScanConfig, header: str, out_path: str) -> Checkpoint
     lines = data.decode("ascii", errors="surrogateescape").split("\n")
     torn = lines.pop()  # "" unless the last append was torn
     want = f"{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION} {_config_hash(cfg, header)}"
-    if lines[:1] != [want]:  # a ledger torn inside its header has no whole line
+    if not lines and want.startswith(torn):  # this scan's header, cut short: start fresh
+        return CheckpointState(torn_bytes=len(torn))
+    if lines[:1] != [want]:
         raise CheckpointError(
             f"checkpoint {path!r} has header {lines[0] if lines else torn!r}, expected {want!r}: "
             "it was written by another scan or version; fix the arguments or delete it")

@@ -162,7 +162,7 @@ def test_envelope_bounds_refuse_non_positive_alpha(alpha):
 def test_ratio_records_first_rows():
     records = ratio_records(485, 3000, 50)
     assert [(rec.s, rec.r) for rec in records] == [(485, 306), (1539, 971), (2593, 1636)]
-    assert all(rec.lower_ok and rec.ratio_ok for rec in records)
+    assert all(check_ratio_constraints(rec.s, rec.r).all_hold() for rec in records)
     gaps = [rec.gap for rec in records]
     assert gaps == sorted(gaps, reverse=True)
     assert records[0].log10_gap == pytest.approx(-5.717033689, abs=1e-8)
@@ -198,18 +198,3 @@ def test_floor_ratio_always_upper_ok(s):
     flags = check_ratio_constraints(s, r)
     if 3 ** r < 2 ** s:  # guard against float slop in r
         assert flags.ratio_upper
-
-
-def test_digits_env_override(monkeypatch):
-    from collatzstop import default_digits
-
-    monkeypatch.setenv("COLLATZSTOP_DIGITS", "42")
-    assert default_digits() == 42
-    monkeypatch.setenv("COLLATZSTOP_DIGITS", "10")
-    with pytest.raises(DomainError):
-        default_digits()
-    monkeypatch.setenv("COLLATZSTOP_DIGITS", "abc")
-    with pytest.raises(DomainError):
-        default_digits()
-    monkeypatch.delenv("COLLATZSTOP_DIGITS")
-    assert default_digits() == 50

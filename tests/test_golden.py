@@ -23,13 +23,13 @@ CASES = {
     "table3-window": ["table3", "--s-min", "7", "--s-max", "10"],
     "table3-json": ["table3", "--s-min", "4", "--s-max", "9", "--json"],
     "table4": ["table4", "--s-max", "20000"],
-    "table4-digits": ["table4", "--s-max", "5000", "--s-min", "300", "--digits", "40"],
+    "table4-digits": ["table4", "--s-max", "5000", "--s-min", "300"],
     "table4-json": ["table4", "--s-max", "2000", "--json"],
     "cycles": ["cycles", "--s-max", "12"],
     "cycles-alpha": ["cycles", "--s-max", "10", "--alpha", "7/2"],
     "cycles-json": ["cycles", "--s-max", "8", "--json"],
     "bounds": ["bounds", "--r", "40"],
-    "bounds-args": ["bounds", "--r", "15", "--alpha", "3", "--digits", "35"],
+    "bounds-args": ["bounds", "--r", "15", "--alpha", "3"],
     "bounds-json": ["bounds", "--r", "10", "--json"],
     "stop": ["stop", "27"],
     "stop-cap": ["stop", "423", "--step-cap", "10"],
@@ -89,11 +89,6 @@ DIGESTS = {
 }
 
 
-@pytest.fixture(autouse=True)
-def _default_digits(monkeypatch):
-    monkeypatch.delenv("COLLATZSTOP_DIGITS", raising=False)
-
-
 def test_every_case_is_pinned():
     assert set(DIGESTS) == set(CASES)
 
@@ -107,9 +102,9 @@ def test_golden_output(name, tmp_path, capsys):
     data = out.read_bytes()
     assert hashlib.sha256(data + summary).hexdigest() == DIGESTS[name]
     if "--json" not in argv:
-        # verify re-derives at the producing run's precision and word cap
+        # verify re-derives at the producing run's word cap
         same = [arg for flag, value in zip(argv, argv[1:])
-                if flag in ("--digits", "--q-cap") for arg in (flag, value)]
+                if flag == "--q-cap" for arg in (flag, value)]
         assert main(["verify", str(out)] + same) == 0
         rows = data.count(b"\n") - 1
         assert capsys.readouterr().out == f"verified {rows} rows\n"

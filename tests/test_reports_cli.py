@@ -60,7 +60,7 @@ def test_table3_first_row():
 
 
 def test_table4_first_row():
-    lines = csv_text(table4_report(s_max=600, digits=50)).splitlines()
+    lines = csv_text(table4_report(s_max=600)).splitlines()
     assert lines[0] == "s,r,lower,ratio,log3_2,log10_gap"
     s, r, lower, ratio, l32, lg = lines[1].split(",")
     assert (s, r) == ("485", "306")
@@ -78,7 +78,7 @@ def test_cycles_report():
 
 
 def test_bounds_report():
-    lines = csv_text(bounds_report(3, 40, 50)).splitlines()
+    lines = csv_text(bounds_report(3, 40)).splitlines()
     assert lines[0] == "r,s,alpha,pow_ratio,m1_upper,m1_lower,lower_positive"
     r, s, alpha, pow_ratio, upper, lower, positive = lines[1].split(",")
     assert (r, s, alpha) == ("1", "2", "40")
@@ -105,8 +105,8 @@ def test_jsonl_typing():
 
 
 def test_csv_byte_identical_reruns(tmp_path):
-    a = csv_text(table4_report(2000, 50))
-    b = csv_text(table4_report(2000, 50))
+    a = csv_text(table4_report(2000))
+    b = csv_text(table4_report(2000))
     assert a == b
     out1, out2 = tmp_path / "1.csv", tmp_path / "2.csv"
     scan_to_csv("fig3", ScanConfig(start=7, end=3000, class_filter="12i+7"), str(out1))
@@ -118,9 +118,9 @@ def test_csv_byte_identical_reruns(tmp_path):
     lambda: table1_report(30),
     lambda: table2_report(467),
     lambda: table3_report(4, 10),
-    lambda: table4_report(2000, 50),
+    lambda: table4_report(2000),
     lambda: cycles_report(10, 40),
-    lambda: bounds_report(10, 40, 50),
+    lambda: bounds_report(10, 40),
     lambda: stop_report(27),
     lambda: traj_report(27, 100),
     lambda: seq_report("1110100"),
@@ -130,7 +130,7 @@ def test_verify_roundtrip(tmp_path, build):
     path = tmp_path / "report.csv"
     with open(path, "wb") as fh:
         write_csv(build(), fh)
-    assert verify_csv(str(path), digits=50) > 0
+    assert verify_csv(str(path)) > 0
 
 
 @pytest.mark.parametrize("kind,cfg", [
@@ -193,7 +193,7 @@ def test_cli_table3_over_cap_writes_nothing(tmp_path, capsys):
 
 @pytest.mark.parametrize("build,bad_row", [
     (lambda: table1_report(3), "x,0,2,1,3,7,11,1r"),   # non-integer key cell
-    (lambda: table4_report(2000, 50), "485"),           # row cut short
+    (lambda: table4_report(2000), "485"),               # row cut short
 ])
 def test_cli_verify_malformed_row(tmp_path, capsys, build, bad_row):
     path = tmp_path / "bad.csv"
@@ -204,11 +204,38 @@ def test_cli_verify_malformed_row(tmp_path, capsys, build, bad_row):
     assert capsys.readouterr().err.startswith(f"error: {path}:3: ")
 
 
-def test_cli_bounds_bad_digits_writes_nothing(tmp_path, capsys):
-    out = tmp_path / "b.csv"
-    assert main(["bounds", "--r", "5", "--digits", "0", "--out", str(out)]) == 2
-    assert "digits must be >= 1" in capsys.readouterr().err
-    assert not out.exists()
+@pytest.mark.parametrize("argv", [["table4", "--s-max", "2000", "--out", "out.csv"],
+                                  ["bounds", "--r", "5", "--out", "out.csv"],
+                                  ["verify", "t4.csv"]])
+def test_cli_digits_is_refused(tmp_path, capsys, argv):
+    # one working precision: no command takes --digits
+    (tmp_path / "t4.csv").write_text("s,r,lower,ratio,log3_2,log10_gap\n")
+    argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+    assert main(argv + ["--digits", "50"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--digits" in captured.err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_cli_ignores_digits_variable(tmp_path, capsys, monkeypatch):
+    # the outputs and their verify are the same whatever COLLATZSTOP_DIGITS holds
+    runs = {"table4": ["table4", "--s-max", "20000"], "bounds": ["bounds", "--r", "40"],
+            "scan": ["scan", "--end", "500"]}
+
+    def produce_and_verify(tag):
+        files, printed = {}, []
+        for name, argv in runs.items():
+            out = tmp_path / f"{name}-{tag}.csv"
+            assert main(argv + ["--out", str(out)]) == 0
+            assert main(["verify", str(out)]) == 0
+            files[name] = out.read_bytes()
+            printed.append(capsys.readouterr().out)
+        return files, printed
+
+    monkeypatch.delenv("COLLATZSTOP_DIGITS", raising=False)
+    plain = produce_and_verify("plain")
+    monkeypatch.setenv("COLLATZSTOP_DIGITS", "abc")
+    assert produce_and_verify("abc") == plain
 
 
 def test_cli_verify_table3_row_outside_census(tmp_path, capsys):
@@ -223,10 +250,10 @@ def test_cli_verify_table3_row_outside_census(tmp_path, capsys):
 
 def test_cli_verify_table4_ratio_above_log3_2(tmp_path, capsys):
     path = tmp_path / "t4.csv"
-    lines = csv_text(table4_report(2000, 50)).splitlines()
+    lines = csv_text(table4_report(2000)).splitlines()
     lines[1] = lines[1].replace("485,306,", "485,1306,", 1)
     path.write_text("\n".join(lines) + "\n")
-    assert main(["verify", str(path), "--digits", "50"]) == 2
+    assert main(["verify", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}:2: ")
     assert "r/s = 1306/485 is not below log3(2)" in err
@@ -323,7 +350,7 @@ def test_cli_traj_matches_walk(capsys):
 
 
 def test_cli_table4(capsys):
-    assert main(["table4", "--s-max", "1600", "--digits", "50"]) == 0
+    assert main(["table4", "--s-max", "1600"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 3
     assert out[1].startswith("485,306,") and out[2].startswith("1539,971,")

@@ -11,6 +11,7 @@ from collatzstop import (
 )
 from collatzstop.cli import main
 from collatzstop.reports import _SCAN_HEADER, scan_to_csv
+from collatzstop.scan import CheckpointState
 
 
 def test_single_value_scan():
@@ -236,9 +237,8 @@ def test_resume_rejects_corrupt_checkpoint(tmp_path):
     ck.write_text("not a checkpoint\n")
     with pytest.raises(CheckpointError):
         checkpoint_resume(cfg, _SCAN_HEADER, out)
-    ck.write_text("")
-    with pytest.raises(CheckpointError):
-        checkpoint_resume(cfg, _SCAN_HEADER, out)
+    ck.write_text("")  # an empty ledger vouches for no chunk: a fresh start
+    assert checkpoint_resume(cfg, _SCAN_HEADER, out) == CheckpointState()
     with pytest.raises(CheckpointError):
         checkpoint_resume(ScanConfig(start=2, end=10, checkpoint_path=str(tmp_path / "missing.ck")),
                           _SCAN_HEADER, out)
@@ -379,6 +379,13 @@ def test_resume_refuses_v2_ledger(tmp_path, capsys):
     magic, _, cfg_hash = head.split()
     ck.write_text(f"{magic} v2 {cfg_hash}\n{rest}")
     assert repr(f"{magic} v2 {cfg_hash}") in _assert_refused(argv, out, ck, capsys)
+
+
+def test_resume_refuses_ledger_that_is_no_header_prefix(tmp_path, capsys):
+    # only a cut-short header of this scan starts fresh; other partial lines are refused
+    argv, out, ck = _ledger_scan(tmp_path, 2)
+    ck.write_bytes(b"hello")
+    assert "has header 'hello'" in _assert_refused(argv, out, ck, capsys)
 
 
 def test_ledger_is_sealed_by_the_v3_rule(tmp_path):
