@@ -1,16 +1,19 @@
 """Ratio constraints, cycle-number candidates and bounds, and record ratios.
 
-A word of length s with r odd steps can only witness a descent when
-3r < 2s and 2^(s-1) < 3^r < 2^s; equivalently r/s is squeezed into
-((1 - 1/s) log3(2), log3(2)).  Power comparisons are always exact big-int;
-everything irrational runs in fixed-point decimals, at DEFAULT_DIGITS
-significant digits (plus guard digits) unless a function is given its own
-`digits`, so no result depends on binary floating point.
+A word of length s with r odd steps can only witness a descent when r/s
+lies in the window ((1 - 1/s) log3(2), log3(2)).  Since log is increasing,
+that is exactly the integer bracket 2^(s-1) < 3^r < 2^s, and `_window`
+alone decides it, for the ratio flags, the record ratios and the cycle
+denominators 2^s - 3^r alike.  Only values that are themselves irrational
+(log3(2), record gaps, the cycle lower bound) run in fixed-point decimals,
+at DEFAULT_DIGITS significant digits (plus guard digits) unless a function
+is given its own `digits`, so no result depends on binary floating point.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -55,9 +58,9 @@ class RatioFlags:
     """The four descent constraints on an (s, r) pair."""
 
     linear: bool       # 3r < 2s
-    power: bool        # 2^(s-1) < 3^r < 2^s, exact integers
-    ratio_lower: bool  # (1 - 1/s) log3(2) < r/s
-    ratio_upper: bool  # r/s < log3(2)
+    power: bool        # 2^(s-1) < 3^r < 2^s: both halves below
+    ratio_lower: bool  # (1 - 1/s) log3(2) < r/s, i.e. 2^(s-1) < 3^r
+    ratio_upper: bool  # r/s < log3(2), i.e. 3^r < 2^s
 
     def all_hold(self) -> bool:
         return self.linear and self.power and self.ratio_lower and self.ratio_upper
@@ -76,8 +79,8 @@ class CycleCandidate:
 
 @dataclass(frozen=True)
 class RatioRecord:
-    """An (s, r) pair setting a new strict minimum of log3(2) - r/s; ratio_records
-    emits one only where the lower ratio bound and the power bracket hold."""
+    """An (s, r) pair inside the descent window with its gap log3(2) - r/s;
+    ratio_records emits one for each new strict minimum of the gap."""
 
     s: int
     r: int
@@ -85,26 +88,38 @@ class RatioRecord:
     log10_gap: float
 
 
-def check_ratio_constraints(s: int, r: int, digits: int = DEFAULT_DIGITS) -> RatioFlags:
-    """Evaluate all four constraints; powers exactly, ratios in decimals."""
+def _window(s: int, r: int) -> tuple[bool, bool]:
+    """The descent window 2^(s-1) < 3^r < 2^s as its (lower, upper) halves,
+    in exact integers.
+
+    Since 2^(3/2) < 3 < 2^2, a pair with 3r >= 2s is above the window and
+    one with 2r < s below it, so 3^r is only built for r in [s/2, 2s/3).
+    """
+    if 3 * r >= 2 * s or 2 * r < s:
+        return 3 * r >= 2 * s, 2 * r < s  # (True, False) above, (False, True) below
+    p3 = 3 ** r
+    return (1 << (s - 1)) < p3, p3 < (1 << s)
+
+
+def _cycle_denominator(s: int, r: int) -> int:
+    """2^s - 3^r for a word with r >= 1 odd steps; refused unless it is
+    positive, i.e. unless r/s is below log3(2)."""
+    if r < 1:
+        raise DomainError(f"a cycle word needs at least one odd step, got r = {r}")
+    if not _window(s, r)[1]:
+        raise DomainError(f"2^{s} <= 3^{r}: r/s = {r}/{s} is not below log3(2)")
+    return (1 << s) - 3 ** r
+
+
+def check_ratio_constraints(s: int, r: int) -> RatioFlags:
+    """Evaluate all four constraints, each in exact integers."""
     if s < 1:
         raise DomainError(f"s must be >= 1, got {s}")
     if r < 0:
         raise DomainError(f"r must be >= 0, got {r}")
-    p3 = 3 ** r
-    power = (1 << (s - 1)) < p3 < (1 << s)
-    with localcontext() as ctx:
-        ctx.prec = digits
-        l32 = log3_2(digits)
-        # cross-multiplied forms keep the comparisons division-free
-        ratio_lower = l32 * (s - 1) < r
-        ratio_upper = r < l32 * s
-    return RatioFlags(
-        linear=3 * r < 2 * s,
-        power=power,
-        ratio_lower=ratio_lower,
-        ratio_upper=ratio_upper,
-    )
+    lower, upper = _window(s, r)
+    return RatioFlags(linear=3 * r < 2 * s, power=lower and upper,
+                      ratio_lower=lower, ratio_upper=upper)
 
 
 def unique_s_for_r(r: int) -> int:
@@ -119,16 +134,17 @@ def unique_s_for_r(r: int) -> int:
 
 def cycle_candidate(q: ParitySequence) -> CycleCandidate:
     """Candidate fixed point of q's closed form, as an exact rational."""
-    r, s = q.r, q.s
-    if r < 1:
-        raise DomainError("a cycle word needs at least one odd step")
-    den = (1 << s) - 3 ** r
-    if den <= 0:
-        raise DomainError(f"2^{s} <= 3^{r}: fixed-point denominator not positive")
+    den = _cycle_denominator(q.s, q.r)
     num = weighted_sum(q)
     m1 = Fraction(num, den)
     return CycleCandidate(q=q, numerator=num, denominator=den, m1=m1,
                           is_integer=m1.denominator == 1)
+
+
+def check_cycle_length(s: int, cap: int = DEFAULT_CYCLE_CAP) -> None:
+    """Refuse a cycle search past length `cap`: the word tree grows as 2^s."""
+    if s > cap:
+        raise LimitError(f"cycle search to length {s} exceeds the cap {cap}")
 
 
 def enumerate_cycle_candidates(s_max: int, cap: int = DEFAULT_CYCLE_CAP) -> list[CycleCandidate]:
@@ -143,8 +159,7 @@ def enumerate_cycle_candidates(s_max: int, cap: int = DEFAULT_CYCLE_CAP) -> list
     """
     if s_max < 1:
         raise DomainError(f"s_max must be >= 1, got {s_max}")
-    if s_max > cap:
-        raise LimitError(f"cycle search to length {s_max} exceeds the cap {cap}")
+    check_cycle_length(s_max, cap)
     pow3 = [3 ** i for i in range(s_max + 2)]
     top = 1 << s_max
     found: list[CycleCandidate] = []
@@ -176,10 +191,7 @@ def envelope_alpha(alpha: Fraction | int) -> Fraction:
 def cycle_upper_bound(r: int, s: int, alpha: Fraction | int = ALPHA) -> Fraction:
     """alpha * (3^(r-1) - 2^(r-1)) / (2^s - 3^r), exact; alpha must be > 0."""
     alpha = envelope_alpha(alpha)
-    den = (1 << s) - 3 ** r
-    if den <= 0:
-        raise DomainError(f"2^{s} <= 3^{r}: bound denominator not positive")
-    return alpha * Fraction(lower_unit_numerator(r), den)
+    return alpha * Fraction(lower_unit_numerator(r), _cycle_denominator(s, r))
 
 
 def cycle_lower_bound(r: int, s: int, digits: int = DEFAULT_DIGITS) -> Decimal:
@@ -189,11 +201,7 @@ def cycle_lower_bound(r: int, s: int, digits: int = DEFAULT_DIGITS) -> Decimal:
     Meaningful as a floor only when 3^r/2^s is close to 1; for loose pairs
     the value can be negative and is returned as-is.
     """
-    if r < 1:
-        raise DomainError(f"r must be >= 1, got {r}")
-    den = (1 << s) - 3 ** r
-    if den <= 0:
-        raise DomainError(f"2^{s} <= 3^{r}: gap not positive")
+    den = _cycle_denominator(s, r)
 
     def raw() -> Decimal:
         e1 = Decimal(den) / Decimal(1 << s)
@@ -213,9 +221,7 @@ def matveev_constant_value(digits: int = 40) -> Decimal:
 
 def matveev_constant() -> int:
     """The transcendence-theory constant rounded to the nearest integer."""
-    with localcontext() as ctx:
-        ctx.prec = 50
-        return int(matveev_constant_value(40).to_integral_value())
+    return int(matveev_constant_value(40).to_integral_value())
 
 
 def matveev_log10_gap_bound(s: int) -> float:
@@ -247,28 +253,32 @@ def stopping_number_bounds(m: int, r: int, s: int,
     return base + unit, base + alpha * unit
 
 
-def _gap_raw(s: int, r: int, digits: int) -> Decimal:
-    """log3(2) - r/s with _GUARD_DIGITS digits beyond `digits`."""
+def ratio_record(s: int, r: int, digits: int = DEFAULT_DIGITS) -> RatioRecord:
+    """The record of (s, r): its gap log3(2) - r/s rounded to `digits`
+    significant digits, and the gap's log10.  A pair outside the descent
+    window is refused, whichever half it fails."""
+    lower, upper = _window(s, r)
+    if not upper:
+        raise DomainError(f"r/s = {r}/{s} is not below log3(2)")
+    if not lower:
+        raise DomainError(f"r/s = {r}/{s} is not above (1 - 1/s) log3(2)")
     with localcontext() as ctx:
         ctx.prec = digits + _GUARD_DIGITS
-        return log3_2(digits + _GUARD_DIGITS) - Decimal(r) / Decimal(s)
-
-
-def _record_from(s: int, r: int, digits: int) -> RatioRecord:
-    gap_raw = _gap_raw(s, r, digits)
-    gap = _rounded(lambda: gap_raw, digits)
-    log10_gap = float(_rounded(gap_raw.log10, digits))
-    return RatioRecord(s=s, r=r, gap=gap, log10_gap=log10_gap)
+        gap_raw = log3_2(digits + _GUARD_DIGITS) - Decimal(r) / Decimal(s)
+    return RatioRecord(s=s, r=r, gap=_rounded(lambda: gap_raw, digits),
+                       log10_gap=float(_rounded(gap_raw.log10, digits)))
 
 
 def ratio_records(s_min: int, s_max: int, digits: int = DEFAULT_DIGITS) -> list[RatioRecord]:
     """Scan s ascending with r = floor(s * log3(2)); emit a record whenever
-    the gap log3(2) - r/s sets a new strict minimum and both the lower ratio
-    bound and the exact power bracket hold.
+    the gap log3(2) - r/s sets a new strict minimum and (s, r) is inside the
+    descent window.
 
     The scan itself runs on the integer fixed-point image of log3(2) at
-    `digits` digits; only emitted records touch decimals or big powers, so
-    scanning to a few hundred thousand is cheap.
+    `digits` digits; only candidates touch big powers or decimals, so
+    scanning to a few hundred thousand is cheap.  The window alone implies
+    r = floor(s * log3(2)), so every emitted record is exact whatever the
+    fixed-point precision.
     """
     if s_min < 2:
         raise DomainError(f"s_min must be >= 2, got {s_min}")
@@ -288,9 +298,7 @@ def ratio_records(s_min: int, s_max: int, digits: int = DEFAULT_DIGITS) -> list[
         r, frac = divmod(s * scaled, scale)
         # gap(s) = frac / (scale * s); strict-minimum test by cross product
         if best_frac is None or frac * best_s < best_frac * s:
-            if frac < scaled:  # fractional part below log3(2): lower bound holds
-                p3 = 3 ** r
-                if (1 << (s - 1)) < p3 < (1 << s):
-                    records.append(_record_from(s, r, digits))
+            with suppress(DomainError):  # outside the window: no record
+                records.append(ratio_record(s, r, digits))
             best_frac, best_s = frac, s
     return records

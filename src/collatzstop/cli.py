@@ -1,12 +1,14 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 usage error, 2 domain error (bad values, failed
-verification, caps), 3 persistence or I/O error.
+verification, caps), 3 persistence or I/O error.  A reader that closes
+stdout early (`| head`) is not an error: the run stops and exits 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -34,8 +36,7 @@ def _emit(report: reports.Report, args) -> int:
         with open(args.out, "wb") as fh:
             writer(report, fh)
     else:
-        writer(report, sys.stdout.buffer)
-        sys.stdout.buffer.flush()
+        writer(report, sys.stdout.buffer)  # flushed by main
     return 0
 
 
@@ -157,7 +158,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -167,6 +170,10 @@ def main(argv=None) -> int:
     except CheckpointError as exc:
         print(f"checkpoint error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # what is still buffered goes to devnull, so the flush at exit is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3

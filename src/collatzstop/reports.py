@@ -153,6 +153,8 @@ _TABLE1_HEADER = "i,3i,3i+2,3i+1,12i+3,12i+7,12i+11,marks"
 
 
 def _table1_row(i: int) -> Row:
+    if i < 0:
+        raise DomainError(f"i must be >= 0, got {i}")
     trio = (3 * i, 3 * i + 2, 3 * i + 1)
     marks = " ".join(f"{v}{'r' if v % 4 == 1 else 'b'}" for v in trio if v & 1)
     return [i, *trio, 12 * i + 3, 12 * i + 7, 12 * i + 11, marks]
@@ -201,8 +203,7 @@ def table3_report(s_min: int, s_max: int, cap: int = res.DEFAULT_CENSUS_CAP) -> 
     """
     if s_min < 1 or s_max < s_min:
         raise DomainError(f"need 1 <= s_min <= s_max, got ({s_min}, {s_max})")
-    if s_max > cap:
-        raise LimitError(f"census of length {s_max} exceeds the cap {cap}")
+    res.check_census_length(s_max, cap)
 
     def rows() -> Iterator[Row]:
         for s in range(s_min, s_max + 1):
@@ -218,23 +219,19 @@ def table3_report(s_min: int, s_max: int, cap: int = res.DEFAULT_CENSUS_CAP) -> 
 _TABLE4_HEADER = "s,r,lower,ratio,log3_2,log10_gap"
 
 
-def _table4_row(s: int, r: int) -> Row:
-    gap = bnd._gap_raw(s, r, bnd.DEFAULT_DIGITS)
-    if gap <= 0:
-        raise DomainError(f"r/s = {r}/{s} is not below log3(2)")
+def _table4_row(rec: bnd.RatioRecord) -> Row:
+    """The row of a record made at DEFAULT_DIGITS, so that rec.gap has that precision."""
     with localcontext() as ctx:
         ctx.prec = bnd.DEFAULT_DIGITS
-        gap = +gap  # the record's gap: log3(2) - r/s rounded to DEFAULT_DIGITS
         l32 = bnd.log3_2(bnd.DEFAULT_DIGITS)
-        lower = l32 * (s - 1) / s
-        ratio = Decimal(r) / Decimal(s)
-        log10_gap = gap.log10()
-    return [s, r, render_sig(lower), render_sig(ratio), render_sig(l32), render_sig(log10_gap)]
+        lower = l32 * (rec.s - 1) / rec.s
+        ratio = Decimal(rec.r) / Decimal(rec.s)
+        log10_gap = rec.gap.log10()
+    return [rec.s, rec.r, *map(render_sig, (lower, ratio, l32, log10_gap))]
 
 
 def table4_report(s_max: int, s_min: int = bnd.DEFAULT_RECORDS_START) -> Report:
-    records = bnd.ratio_records(s_min, s_max)
-    return Report(_TABLE4_HEADER, [_table4_row(rec.s, rec.r) for rec in records])
+    return Report(_TABLE4_HEADER, [_table4_row(rec) for rec in bnd.ratio_records(s_min, s_max)])
 
 
 # ---------------------------------------------------------------- cycles
@@ -413,12 +410,22 @@ def _scan_kind_line(kind: str, n: int, s: int) -> str:
 
 
 def _table3_check(s: int, m: int) -> Row:
+    res.check_census_length(s)
     if m % 2 == 0 or m < 3 or m.bit_length() > s:
         raise DomainError(f"m = {m} is not an odd residue with 1 < m < 2^{s}")
     _, steps, _, _, word, _, capped = _walk_row(m, s)
     if steps != s or capped:
         raise DomainError(f"{m} does not stop in exactly {s} steps")
     return _table3_row(s, m, ParitySequence(word_bits(word, s)))
+
+
+def _cycles_check(bits: str, alpha: Fraction) -> Row:
+    bnd.check_cycle_length(len(bits))
+    cand = bnd.cycle_candidate(parse_sequence(bits))
+    # the search canonicalizes each cycle to a word that starts with an odd step
+    if bits[0] != "1" or not cand.is_integer or cand.m1 < 1:
+        raise DomainError(f"word {bits} does not start with 1 or has no integer m1 >= 1")
+    return _cycles_row(cand, alpha)
 
 
 def verify_csv(path: str, q_cap: int = res.DEFAULT_Q_CAP) -> int:
@@ -450,9 +457,8 @@ def verify_csv(path: str, q_cap: int = res.DEFAULT_Q_CAP) -> int:
         _TABLE1_HEADER: lambda c: _table1_row(int(c[0])),
         _TABLE2_HEADER: lambda c: _table2_row(res.table2_row(int(c[0]), q_cap)),
         _TABLE3_HEADER: lambda c: _table3_check(int(c[0]), int(c[7])),
-        _TABLE4_HEADER: lambda c: _table4_row(int(c[0]), int(c[1])),
-        _CYCLES_HEADER: lambda c: _cycles_row(
-            bnd.cycle_candidate(parse_sequence(c[2])), Fraction(c[6])),
+        _TABLE4_HEADER: lambda c: _table4_row(bnd.ratio_record(int(c[0]), int(c[1]))),
+        _CYCLES_HEADER: lambda c: _cycles_check(c[2], Fraction(c[6])),
         _BOUNDS_HEADER: lambda c: _bounds_row(int(c[0]), Fraction(c[2])),
         _SCAN_HEADER: lambda c: _scan_kind_line("scan", int(c[0]), int(c[2])),
         _FIG2_HEADER: lambda c: _scan_kind_line("fig2", int(c[0]), int(c[1])),

@@ -78,6 +78,12 @@ def family_member(fam: ResidueFamily, j: int) -> int:
     return (1 << fam.s) * (3 * j + fam.k) + fam.m
 
 
+def check_census_length(s: int, cap: int = DEFAULT_CENSUS_CAP) -> None:
+    """Refuse a census past length `cap`: it walks 2^(s-2) residues."""
+    if s > cap:
+        raise LimitError(f"census of length {s} exceeds the cap {cap}")
+
+
 def enumerate_minimal(s: int, cap: int = DEFAULT_CENSUS_CAP) -> list[tuple[int, ParitySequence]]:
     """All odd m < 2^s with stopping time exactly s, with their words,
     ascending in m.
@@ -90,8 +96,7 @@ def enumerate_minimal(s: int, cap: int = DEFAULT_CENSUS_CAP) -> list[tuple[int, 
     """
     if s < 1:
         raise DomainError(f"s must be >= 1, got {s}")
-    if s > cap:
-        raise LimitError(f"census of length {s} exceeds the cap {cap}")
+    check_census_length(s, cap)
     out = []
     for m in range(3, 1 << s, 4):
         steps, _, _, word, _, capped = walk(m, s)

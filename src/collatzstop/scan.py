@@ -138,7 +138,7 @@ def _chunk_results(cfg: ScanConfig, chunks: list[tuple[int, int]]) -> Iterator[t
             yield _chunk_worker(a)
         return
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(cfg.workers) as pool:
+    with ctx.Pool(min(cfg.workers, len(args))) as pool:  # no idle workers
         yield from pool.imap(_chunk_worker, args, chunksize=1)
 
 

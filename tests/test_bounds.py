@@ -1,6 +1,7 @@
 import hashlib
 import math
-from decimal import Decimal
+import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import mpmath as mp
@@ -14,6 +15,7 @@ from collatzstop import (
     matveev_constant, matveev_constant_value, matveev_log10_gap_bound,
     parse_sequence, ratio_records, stopping_number_bounds, unique_s_for_r,
 )
+from collatzstop.bounds import DEFAULT_DIGITS, ratio_record
 from collatzstop.cli import main
 from reference_tables import TABLE4
 
@@ -28,6 +30,52 @@ def test_ratio_constraints_examples():
     flags = check_ratio_constraints(3, 2)
     assert not flags.power and not flags.linear and not flags.ratio_upper
     assert flags.ratio_lower
+
+
+def _decimal_ratio_flags(s, r):
+    """The ratio halves as decimal comparisons at DEFAULT_DIGITS: the oracle
+    for the exact window, (1 - 1/s) log3(2) < r/s and r/s < log3(2)."""
+    with localcontext() as ctx:
+        ctx.prec = DEFAULT_DIGITS
+        l32 = log3_2(DEFAULT_DIGITS)
+        return l32 * (s - 1) < r, r < l32 * s
+
+
+def _assert_flags_match_decimal(s, r):
+    flags = check_ratio_constraints(s, r)
+    lower, upper = _decimal_ratio_flags(s, r)
+    assert (flags.ratio_lower, flags.ratio_upper) == (lower, upper), (s, r)
+    assert flags.power == (lower and upper), (s, r)
+    assert flags.linear == (3 * r < 2 * s), (s, r)
+
+
+def test_ratio_constraints_match_decimal_oracle_small():
+    for s in range(1, 700):
+        for r in range(s + 2):
+            _assert_flags_match_decimal(s, r)
+
+
+def test_ratio_constraints_match_decimal_oracle_near_boundaries():
+    rng = random.Random(20211)
+    l32 = float(log3_2(30))
+    for _ in range(80):  # each pair builds a 3^r of up to 300,000 bits
+        s = rng.randrange(700, 300_000)
+        # the floors of s log3(2) and (s - 1) log3(2), and their neighbours
+        for r0 in {int(s * l32), int((s - 1) * l32)}:
+            for r in (r0 - 1, r0, r0 + 1, r0 + 2):
+                _assert_flags_match_decimal(s, r)
+
+
+def test_ratio_record_refuses_pairs_outside_the_window():
+    with pytest.raises(DomainError, match=r"r/s = 1306/485 is not below log3\(2\)"):
+        ratio_record(485, 1306)
+    with pytest.raises(DomainError, match=r"r/s = 307/485 is not below log3\(2\)"):
+        ratio_record(485, 307)
+    with pytest.raises(DomainError, match=r"r/s = 3/1000 is not above \(1 - 1/s\) log3\(2\)"):
+        ratio_record(1000, 3)
+    with pytest.raises(DomainError, match=r"r/s = 305/485 is not above \(1 - 1/s\) log3\(2\)"):
+        ratio_record(485, 305)
+    assert ratio_record(485, 306) == ratio_records(485, 485)[0]
 
 
 def test_unique_s_examples():
@@ -181,6 +229,17 @@ def test_ratio_records_reference_prefix():
     records = ratio_records(485, 26000, 50)
     want = [(s, r) for s, r, _ in TABLE4 if s <= 26000]
     assert [(rec.s, rec.r) for rec in records] == want
+
+
+def test_ratio_records_from_2_pinned():
+    # the records the Decimal and fixed-point filters emitted, now certified
+    # by the exact window alone
+    assert [(rec.s, rec.r) for rec in ratio_records(2, 20000)] == [
+        (2, 1), (5, 3), (8, 5), (27, 17), (46, 29), (65, 41), (149, 94), (233, 147),
+        (317, 200), (401, 253), (485, 306), (1539, 971), (2593, 1636), (3647, 2301),
+        (4701, 2966), (5755, 3631), (6809, 4296), (7863, 4961), (8917, 5626),
+        (9971, 6291), (11025, 6956), (12079, 7621), (13133, 8286), (14187, 8951),
+        (15241, 9616), (16295, 10281), (17349, 10946), (18403, 11611), (19457, 12276)]
 
 
 def test_ratio_records_validation():

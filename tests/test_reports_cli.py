@@ -1,6 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -274,8 +278,25 @@ def test_cli_verify_table4_ratio_above_log3_2(tmp_path, capsys):
      "alpha must be > 0, got -1"),
     ("r,s,alpha,pow_ratio,m1_upper,m1_lower,lower_positive\n"
      "1,2,0,0.750000000000000,0,-0.199023144560607,0\n", 2, "alpha must be > 0, got 0"),
+    ("i,3i,3i+2,3i+1,12i+3,12i+7,12i+11,marks\n-1,-3,-1,-2,-9,-5,-1,-3r -1b\n", 2,
+     "i must be >= 0, got -1"),
+    ("s,r,3r,2s,3^r,2^s,class,m,q\n"
+     "26,16,48,52,43046721,67108864,12i+7,991,11111001101110101101101000\n", 2,
+     "census of length 26 exceeds the cap 24"),
+    ("s,r,q,numerator,denominator,m1,alpha,m1_upper\n3,1,100,1,5,1/5,40,0\n", 2,
+     "word 100 does not start with 1 or has no integer m1 >= 1"),
+    ("s,r,q,numerator,denominator,m1,alpha,m1_upper\n2,1,01,2,1,2,40,0\n", 2,
+     "word 01 does not start with 1 or has no integer m1 >= 1"),
+    ("s,r,q,numerator,denominator,m1,alpha,m1_upper\n"
+     "22,11,1010101010101010101010,4017157,4017157,1,40,2321000/4017157\n", 2,
+     "cycle search to length 22 exceeds the cap 20"),
+    ("s,r,lower,ratio,log3_2,log10_gap\n"
+     "1000,3,0.630298823817886,0.00300000000000000,0.630929753571457,-0.202088938018646\n", 2,
+     "r/s = 3/1000 is not above (1 - 1/s) log3(2)"),
 ], ids=["scan-n-below-2", "scan-zero-steps", "table2-class-12i+4", "fig2-even-n", "table3-wrong-length",
-        "traj-past-1", "cycles-negative-alpha", "bounds-zero-alpha"])
+        "traj-past-1", "cycles-negative-alpha", "bounds-zero-alpha", "table1-negative-i",
+        "table3-past-census-cap", "cycles-m1-not-integer", "cycles-first-bit-0",
+        "cycles-past-cap", "table4-below-window"])
 def test_cli_verify_refuses_unproducible_row(tmp_path, capsys, text, line, reason):
     path = tmp_path / "r.csv"
     path.write_text(text)
@@ -283,6 +304,32 @@ def test_cli_verify_refuses_unproducible_row(tmp_path, capsys, text, line, reaso
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}:{line}: ")
     assert reason in err
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv,first", [
+    (["table1", "--rows", "200000"], b"i,3i,3i+2,3i+1,12i+3,12i+7,12i+11,marks\n"),
+    (["table3", "--json", "--s-max", "18"],
+     b'{"s":4,"r":2,"3r":6,"2s":8,"3^r":9,"2^s":16,"class":"12i+3","m":3,"q":"1100"}\n'),
+    (["scan", "--end", "3000", "--out", "scan.csv"], None),
+], ids=["table1", "table3-json", "scan-summary"])
+def test_cli_closed_stdout_exits_0(tmp_path, argv, first, unbuffered):
+    # the reader takes one line of a table that overflows the pipe buffer,
+    # or none of the scan summary, and closes the pipe: as `| head -1` does
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "collatzstop", *argv], cwd=tmp_path, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    if first is not None:
+        assert proc.stdout.readline() == first
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (0, b"")
 
 
 def test_cli_verify_empty_file(tmp_path, capsys):

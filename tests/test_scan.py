@@ -9,6 +9,7 @@ from collatzstop import (
     StoppingRecord, checkpoint_resume, empirical_alpha, scan_collect,
     scan_range, stopping_record,
 )
+import collatzstop.scan as scan_mod
 from collatzstop.cli import main
 from collatzstop.reports import _SCAN_HEADER, scan_to_csv
 from collatzstop.scan import CheckpointState
@@ -41,6 +42,37 @@ def test_worker_count_is_invisible(tmp_path):
     recs8, stats8 = scan_collect(cfg8)
     assert recs1 == recs8
     assert stats1 == stats8
+
+
+def test_pool_starts_no_idle_workers(tmp_path, monkeypatch):
+    # a stand-in context records the pool size and maps in this process,
+    # so the test itself starts no worker
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, args, chunksize=1):
+            return map(fn, args)
+
+    class InlineContext:
+        Pool = InlinePool
+
+    monkeypatch.setattr(scan_mod.multiprocessing, "get_context", lambda method: InlineContext)
+    out1, out8 = tmp_path / "w1.csv", tmp_path / "w8.csv"
+    scan_to_csv("scan", ScanConfig(start=2, end=3001, chunk_size=1000, workers=1), str(out1))
+    assert sizes == []  # one worker runs without a pool
+    stats, done = scan_to_csv("scan", ScanConfig(start=2, end=3001, chunk_size=1000, workers=8),
+                              str(out8))
+    assert sizes == [3] and done and stats.count == 3000
+    assert out8.read_bytes() == out1.read_bytes()
 
 
 def test_chunk_size_is_invisible():
