@@ -26,7 +26,7 @@ s = unique_s_for_r(r)
 print(f"  s for r=306: {s}")
 print(f"  3^r/2^s = {3 ** r / 2 ** s:.9f}")
 print(f"  upper bound at alpha=40: {float(cycle_upper_bound(r, s, 40)):.1f}")
-print(f"  lower floor:             {cycle_lower_bound(r, s, 40)}")
+print(f"  lower floor:             {cycle_lower_bound(r, s)}")
 
 print("\nhow tight can 2^s - 3^r get?  a transcendence-theory floor says")
 C = matveev_constant()

@@ -13,7 +13,7 @@ from collatzstop.reports import table4_report, write_csv
 
 print(f"log3(2) to 50 digits: {log3_2(50)}")
 
-records = ratio_records(485, 30000, 50)
+records = ratio_records(485, 30000)
 print(f"\nrecords for s in [485, 30000]: {len(records)}")
 print(f"{'s':>6} {'r':>6} {'gap':>12} {'log10 gap':>18}")
 for rec in records[:8]:

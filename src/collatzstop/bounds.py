@@ -6,8 +6,12 @@ that is exactly the integer bracket 2^(s-1) < 3^r < 2^s, and `_window`
 alone decides it, for the ratio flags, the record ratios and the cycle
 denominators 2^s - 3^r alike.  Only values that are themselves irrational
 (log3(2), record gaps, the cycle lower bound) run in fixed-point decimals,
-at DEFAULT_DIGITS significant digits (plus guard digits) unless a function
-is given its own `digits`, so no result depends on binary floating point.
+at DEFAULT_DIGITS significant digits (plus guard digits), so no result
+depends on binary floating point.
+
+Each length whose cost grows with it has one cap, which the producer checks
+before it writes and `verify` checks before it builds a power: CYCLE_CAP
+on a cycle word, RECORD_S_CAP on a record's s, BOUND_R_CAP on a bound's r.
 """
 
 from __future__ import annotations
@@ -30,7 +34,9 @@ _GUARD_DIGITS = 10  # working digits beyond `digits` before a result is rounded
 # report each breach, and the cycle-number bounds take it as their default
 ALPHA = 40
 
-DEFAULT_CYCLE_CAP = 20
+CYCLE_CAP = 20  # the word tree of a cycle search grows as 2^s
+RECORD_S_CAP = 10 ** 7  # a record builds 3^r, whose cost grows about as s^1.6
+BOUND_R_CAP = 10 ** 5  # a bound row builds 3^r and 2^s with s about 1.58 r
 DEFAULT_RECORDS_START = 485
 
 
@@ -141,13 +147,19 @@ def cycle_candidate(q: ParitySequence) -> CycleCandidate:
                           is_integer=m1.denominator == 1)
 
 
-def check_cycle_length(s: int, cap: int = DEFAULT_CYCLE_CAP) -> None:
-    """Refuse a cycle search past length `cap`: the word tree grows as 2^s."""
-    if s > cap:
-        raise LimitError(f"cycle search to length {s} exceeds the cap {cap}")
+def check_cycle_length(s: int) -> None:
+    """Refuse a cycle search past length CYCLE_CAP."""
+    if s > CYCLE_CAP:
+        raise LimitError(f"cycle search to length {s} exceeds the cap {CYCLE_CAP}")
 
 
-def enumerate_cycle_candidates(s_max: int, cap: int = DEFAULT_CYCLE_CAP) -> list[CycleCandidate]:
+def check_bound_r(r: int) -> None:
+    """Refuse a bound row past r = BOUND_R_CAP."""
+    if r > BOUND_R_CAP:
+        raise LimitError(f"bound at r = {r} exceeds the cap {BOUND_R_CAP}")
+
+
+def enumerate_cycle_candidates(s_max: int) -> list[CycleCandidate]:
     """All words of length <= s_max whose fixed point m1 is an integer >= 1.
 
     Every cycle of the map must contain an odd member (an all-even cycle
@@ -159,7 +171,7 @@ def enumerate_cycle_candidates(s_max: int, cap: int = DEFAULT_CYCLE_CAP) -> list
     """
     if s_max < 1:
         raise DomainError(f"s_max must be >= 1, got {s_max}")
-    check_cycle_length(s_max, cap)
+    check_cycle_length(s_max)
     pow3 = [3 ** i for i in range(s_max + 2)]
     top = 1 << s_max
     found: list[CycleCandidate] = []
@@ -194,7 +206,7 @@ def cycle_upper_bound(r: int, s: int, alpha: Fraction | int = ALPHA) -> Fraction
     return alpha * Fraction(lower_unit_numerator(r), _cycle_denominator(s, r))
 
 
-def cycle_lower_bound(r: int, s: int, digits: int = DEFAULT_DIGITS) -> Decimal:
+def cycle_lower_bound(r: int, s: int) -> Decimal:
     """(1 - e1 - 3*e2) / (3*e1) with e1 = 1 - 3^r/2^s and
     e2 = 2^-((1 - log3(2)) s + 1).
 
@@ -205,23 +217,21 @@ def cycle_lower_bound(r: int, s: int, digits: int = DEFAULT_DIGITS) -> Decimal:
 
     def raw() -> Decimal:
         e1 = Decimal(den) / Decimal(1 << s)
-        exponent = (1 - log3_2(digits + _GUARD_DIGITS)) * s + 1
+        exponent = (1 - log3_2(DEFAULT_DIGITS + _GUARD_DIGITS)) * s + 1
         e2 = Decimal(2) ** (-exponent)
         return (1 - e1 - 3 * e2) / (3 * e1)
-    return _rounded(raw, digits)
+    return _rounded(raw, DEFAULT_DIGITS)
 
 
-def matveev_constant_value(digits: int = 40) -> Decimal:
-    """e * 2^3.5 * 30^5 * ln 3 evaluated to `digits` significant digits."""
-    if digits < 30:
-        raise DomainError(f"digits must be >= 30 for a trustworthy rounding, got {digits}")
+def matveev_constant_value() -> Decimal:
+    """e * 2^3.5 * 30^5 * ln 3 evaluated to 40 significant digits."""
     return _rounded(lambda: (Decimal(1).exp() * (Decimal(2) ** Decimal("3.5"))
-                             * (30 ** 5) * Decimal(3).ln()), digits)
+                             * (30 ** 5) * Decimal(3).ln()), 40)
 
 
 def matveev_constant() -> int:
     """The transcendence-theory constant rounded to the nearest integer."""
-    return int(matveev_constant_value(40).to_integral_value())
+    return int(matveev_constant_value().to_integral_value())
 
 
 def matveev_log10_gap_bound(s: int) -> float:
@@ -253,30 +263,38 @@ def stopping_number_bounds(m: int, r: int, s: int,
     return base + unit, base + alpha * unit
 
 
-def ratio_record(s: int, r: int, digits: int = DEFAULT_DIGITS) -> RatioRecord:
-    """The record of (s, r): its gap log3(2) - r/s rounded to `digits`
-    significant digits, and the gap's log10.  A pair outside the descent
-    window is refused, whichever half it fails."""
+def check_record_s(s: int) -> None:
+    """Refuse a record past s = RECORD_S_CAP."""
+    if s > RECORD_S_CAP:
+        raise LimitError(f"record at s = {s} exceeds the cap {RECORD_S_CAP}")
+
+
+def ratio_record(s: int, r: int) -> RatioRecord:
+    """The record of (s, r): its gap log3(2) - r/s rounded to DEFAULT_DIGITS
+    significant digits, and the gap's log10.  A pair past RECORD_S_CAP or
+    outside the descent window is refused, whichever half it fails."""
+    check_record_s(s)
     lower, upper = _window(s, r)
     if not upper:
         raise DomainError(f"r/s = {r}/{s} is not below log3(2)")
     if not lower:
         raise DomainError(f"r/s = {r}/{s} is not above (1 - 1/s) log3(2)")
     with localcontext() as ctx:
-        ctx.prec = digits + _GUARD_DIGITS
-        gap_raw = log3_2(digits + _GUARD_DIGITS) - Decimal(r) / Decimal(s)
-    return RatioRecord(s=s, r=r, gap=_rounded(lambda: gap_raw, digits),
-                       log10_gap=float(_rounded(gap_raw.log10, digits)))
+        ctx.prec = DEFAULT_DIGITS + _GUARD_DIGITS
+        gap_raw = log3_2(DEFAULT_DIGITS + _GUARD_DIGITS) - Decimal(r) / Decimal(s)
+    return RatioRecord(s=s, r=r, gap=_rounded(lambda: gap_raw, DEFAULT_DIGITS),
+                       log10_gap=float(_rounded(gap_raw.log10, DEFAULT_DIGITS)))
 
 
-def ratio_records(s_min: int, s_max: int, digits: int = DEFAULT_DIGITS) -> list[RatioRecord]:
+def ratio_records(s_min: int, s_max: int) -> list[RatioRecord]:
     """Scan s ascending with r = floor(s * log3(2)); emit a record whenever
     the gap log3(2) - r/s sets a new strict minimum and (s, r) is inside the
     descent window.
 
     The scan itself runs on the integer fixed-point image of log3(2) at
-    `digits` digits; only candidates touch big powers or decimals, so
-    scanning to a few hundred thousand is cheap.  The window alone implies
+    DEFAULT_DIGITS digits; only candidates touch big powers or decimals, so
+    scanning to a few hundred thousand is cheap.  s_max past RECORD_S_CAP
+    is refused before the scan starts.  The window alone implies
     r = floor(s * log3(2)), so every emitted record is exact whatever the
     fixed-point precision.
     """
@@ -284,13 +302,12 @@ def ratio_records(s_min: int, s_max: int, digits: int = DEFAULT_DIGITS) -> list[
         raise DomainError(f"s_min must be >= 2, got {s_min}")
     if s_max < s_min:
         raise DomainError(f"s_max must be >= s_min, got {s_max} < {s_min}")
-    if digits < 30:
-        raise DomainError(f"digits must be >= 30, got {digits}")
+    check_record_s(s_max)
 
-    scale = 10 ** digits
+    scale = 10 ** DEFAULT_DIGITS
     with localcontext() as ctx:
-        ctx.prec = digits + _GUARD_DIGITS
-        scaled = int(log3_2(digits).scaleb(digits).to_integral_value())
+        ctx.prec = DEFAULT_DIGITS + _GUARD_DIGITS
+        scaled = int(log3_2(DEFAULT_DIGITS).scaleb(DEFAULT_DIGITS).to_integral_value())
 
     records = []
     best_frac = best_s = None
@@ -299,6 +316,6 @@ def ratio_records(s_min: int, s_max: int, digits: int = DEFAULT_DIGITS) -> list[
         # gap(s) = frac / (scale * s); strict-minimum test by cross product
         if best_frac is None or frac * best_s < best_frac * s:
             with suppress(DomainError):  # outside the window: no record
-                records.append(ratio_record(s, r, digits))
+                records.append(ratio_record(s, r))
             best_frac, best_s = frac, s
     return records

@@ -17,7 +17,6 @@ from .bounds import ALPHA, DEFAULT_RECORDS_START
 from .core import DEFAULT_STEP_CAP
 from .errors import (CheckpointError, CycleDetectedError, DomainError,
                      LimitError)
-from .residues import DEFAULT_Q_CAP
 from .scan import CLASS_FILTERS, ScanConfig
 
 
@@ -92,10 +91,8 @@ def build_parser() -> Parser:
     p.add_argument("--rows", type=int, required=True)
 
     p = _report_command(sub, "table2", "stopping rows for the hard odd classes",
-                        lambda a: reports.table2_report(a.max_n, a.q_cap))
+                        lambda a: reports.table2_report(a.max_n))
     p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--q-cap", type=int, default=DEFAULT_Q_CAP,
-                   help="blank the word when longer than this")
 
     p = _report_command(sub, "table3", "census of minimal stopping words by length",
                         lambda a: reports.table3_report(a.s_min, a.s_max))
@@ -126,7 +123,6 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("verify", help="re-derive every row of a CSV produced here")
     p.add_argument("path")
-    p.add_argument("--q-cap", type=int, default=DEFAULT_Q_CAP)
     p.set_defaults(func=_run_verify)
 
     return parser
@@ -149,7 +145,7 @@ def _run_scan(kind: str, args) -> int:
 
 
 def _run_verify(args) -> int:
-    count = reports.verify_csv(args.path, args.q_cap)
+    count = reports.verify_csv(args.path)
     print(f"verified {count} rows")
     return 0
 

@@ -179,10 +179,10 @@ def _table2_row(row: tuple[int, str, ParitySequence | None, int]) -> Row:
     return [n, q.bits if q else "", value]
 
 
-def table2_report(max_n: int, q_cap: int = res.DEFAULT_Q_CAP) -> Report:
+def table2_report(max_n: int) -> Report:
     """Stopping rows for every n <= max_n in 12i+3, then 12i+7, then 12i+11;
-    the word is left blank when longer than q_cap."""
-    return Report(_TABLE2_HEADER, [_table2_row(row) for row in res.table2_rows(max_n, q_cap)])
+    the word is left blank when longer than residues.Q_CAP."""
+    return Report(_TABLE2_HEADER, [_table2_row(row) for row in res.table2_rows(max_n)])
 
 
 # ---------------------------------------------------------------- table 3
@@ -195,7 +195,7 @@ def _table3_row(s: int, m: int, q: ParitySequence) -> Row:
     return [s, r, 3 * r, 2 * s, 3 ** r, 1 << s, f"12i+{m % 12}", m, q.bits]
 
 
-def table3_report(s_min: int, s_max: int, cap: int = res.DEFAULT_CENSUS_CAP) -> Report:
+def table3_report(s_min: int, s_max: int) -> Report:
     """Minimal-census rows grouped by length, then by mod-12 class, then m.
 
     The cap is checked before any census runs, so nothing is written for a
@@ -203,12 +203,12 @@ def table3_report(s_min: int, s_max: int, cap: int = res.DEFAULT_CENSUS_CAP) -> 
     """
     if s_min < 1 or s_max < s_min:
         raise DomainError(f"need 1 <= s_min <= s_max, got ({s_min}, {s_max})")
-    res.check_census_length(s_max, cap)
+    res.check_census_length(s_max)
 
     def rows() -> Iterator[Row]:
         for s in range(s_min, s_max + 1):
             # sorting is stable, so m stays ascending within each class
-            for m, q in sorted(res.enumerate_minimal(s, cap), key=lambda mq: mq[0] % 12):
+            for m, q in sorted(res.enumerate_minimal(s), key=lambda mq: mq[0] % 12):
                 yield _table3_row(s, m, q)
 
     return Report(_TABLE3_HEADER, rows())
@@ -245,11 +245,10 @@ def _cycles_row(cand: bnd.CycleCandidate, alpha: Fraction) -> Row:
             render_rational(cand.m1), render_rational(alpha), render_rational(upper)]
 
 
-def cycles_report(s_max: int, alpha: Fraction | int = bnd.ALPHA,
-                  cap: int = bnd.DEFAULT_CYCLE_CAP) -> Report:
+def cycles_report(s_max: int, alpha: Fraction | int = bnd.ALPHA) -> Report:
     alpha = bnd.envelope_alpha(alpha)  # checked before any row, so nothing is written
     return Report(_CYCLES_HEADER, [_cycles_row(cand, alpha)
-                                   for cand in bnd.enumerate_cycle_candidates(s_max, cap)])
+                                   for cand in bnd.enumerate_cycle_candidates(s_max)])
 
 
 # ---------------------------------------------------------------- bounds
@@ -258,6 +257,7 @@ _BOUNDS_HEADER = "r,s,alpha,pow_ratio,m1_upper,m1_lower,lower_positive"
 
 
 def _bounds_row(r: int, alpha: Fraction) -> Row:
+    bnd.check_bound_r(r)
     s = bnd.unique_s_for_r(r)
     upper = bnd.cycle_upper_bound(r, s, alpha)
     lower = bnd.cycle_lower_bound(r, s)
@@ -274,6 +274,7 @@ def bounds_report(r_max: int, alpha: Fraction | int = bnd.ALPHA) -> Report:
     """
     if r_max < 1:
         raise DomainError(f"r must be >= 1, got {r_max}")
+    bnd.check_bound_r(r_max)
     alpha = bnd.envelope_alpha(alpha)
     return Report(_BOUNDS_HEADER, (_bounds_row(r, alpha) for r in range(1, r_max + 1)))
 
@@ -428,20 +429,27 @@ def _cycles_check(bits: str, alpha: Fraction) -> Row:
     return _cycles_row(cand, alpha)
 
 
-def verify_csv(path: str, q_cap: int = res.DEFAULT_Q_CAP) -> int:
+def verify_csv(path: str) -> int:
     """Re-derive every row of a CSV produced by this package.
 
     Streams the file and returns the number of verified rows; raises
     VerifyError naming the file and line on the first row that does not
     parse or whose line differs from the re-derived row's `csv_line`.  Each
-    row is re-derived from its own key cells;
-    traj rows must instead follow the walk from the first row's n, step
-    1, 2, 3, ..., and may not go past the point where it reaches 1.  A traj
-    file that stops early still verifies, since `traj --limit` writes one.
-    Only table2's word cap changes bytes, so q_cap must match the producing
-    run; every other report re-derives from its rows alone.
+    row is re-derived from its own key cells, under the constants its
+    producer uses (residues.Q_CAP, CENSUS_CAP; bounds.CYCLE_CAP,
+    RECORD_S_CAP, BOUND_R_CAP), each length cap checked before the row's
+    arithmetic starts.  Two
+    reports also keep state across rows: traj rows must follow the walk
+    from the first row's n, step 1, 2, 3, ..., and may not go past the
+    point where it reaches 1 (a traj file that stops early still verifies,
+    since `traj --limit` writes one); each table4 row after the first must
+    have a larger s and a strictly smaller gap than the row before it.
+    Whether a table4 row is a record from the producing `--s-min` on is
+    not checked: any row inside the descent window can open a file.
     """
     traj_walk: Iterator[Row] | None = None  # traj only: the rows still expected
+    # table4 only: the last row's (s, r); every row inside the window follows (1, 0)
+    table4_last = (1, 0)
 
     def traj_row(c: list[str]) -> Row:
         nonlocal traj_walk
@@ -453,11 +461,22 @@ def verify_csv(path: str, q_cap: int = res.DEFAULT_Q_CAP) -> int:
             raise DomainError(f"the walk from {c[0]} has already reached 1")
         return want
 
+    def table4_row(c: list[str]) -> Row:
+        nonlocal table4_last
+        s0, r0 = table4_last
+        table4_last = s, r = int(c[0]), int(c[1])
+        want = _table4_row(bnd.ratio_record(s, r))
+        # both gaps log3(2) - r/s are positive, so the gap falls when r/s rises
+        if s <= s0 or r * s0 <= r0 * s:
+            raise DomainError(f"({s}, {r}) does not follow ({s0}, {r0}): "
+                              f"s must rise and the gap must fall")
+        return want
+
     rederive = {  # header -> key cells -> expected row, or line for the scan kinds
         _TABLE1_HEADER: lambda c: _table1_row(int(c[0])),
-        _TABLE2_HEADER: lambda c: _table2_row(res.table2_row(int(c[0]), q_cap)),
+        _TABLE2_HEADER: lambda c: _table2_row(res.table2_row(int(c[0]))),
         _TABLE3_HEADER: lambda c: _table3_check(int(c[0]), int(c[7])),
-        _TABLE4_HEADER: lambda c: _table4_row(bnd.ratio_record(int(c[0]), int(c[1]))),
+        _TABLE4_HEADER: table4_row,
         _CYCLES_HEADER: lambda c: _cycles_check(c[2], Fraction(c[6])),
         _BOUNDS_HEADER: lambda c: _bounds_row(int(c[0]), Fraction(c[2])),
         _SCAN_HEADER: lambda c: _scan_kind_line("scan", int(c[0]), int(c[2])),

@@ -16,8 +16,8 @@ from .core import DEFAULT_STEP_CAP, descend, walk
 from .errors import DomainError, LimitError
 from .sequences import ParitySequence, word_bits
 
-DEFAULT_CENSUS_CAP = 24
-DEFAULT_Q_CAP = 15  # table 2 blanks a word longer than this
+CENSUS_CAP = 24  # a census of length s walks 2^(s-2) residues
+Q_CAP = 15  # table 2 blanks a word longer than this
 
 _MOD3 = ("3i", "3i+1", "3i+2")
 
@@ -78,13 +78,13 @@ def family_member(fam: ResidueFamily, j: int) -> int:
     return (1 << fam.s) * (3 * j + fam.k) + fam.m
 
 
-def check_census_length(s: int, cap: int = DEFAULT_CENSUS_CAP) -> None:
-    """Refuse a census past length `cap`: it walks 2^(s-2) residues."""
-    if s > cap:
-        raise LimitError(f"census of length {s} exceeds the cap {cap}")
+def check_census_length(s: int) -> None:
+    """Refuse a census past length CENSUS_CAP."""
+    if s > CENSUS_CAP:
+        raise LimitError(f"census of length {s} exceeds the cap {CENSUS_CAP}")
 
 
-def enumerate_minimal(s: int, cap: int = DEFAULT_CENSUS_CAP) -> list[tuple[int, ParitySequence]]:
+def enumerate_minimal(s: int) -> list[tuple[int, ParitySequence]]:
     """All odd m < 2^s with stopping time exactly s, with their words,
     ascending in m.
 
@@ -96,7 +96,7 @@ def enumerate_minimal(s: int, cap: int = DEFAULT_CENSUS_CAP) -> list[tuple[int, 
     """
     if s < 1:
         raise DomainError(f"s must be >= 1, got {s}")
-    check_census_length(s, cap)
+    check_census_length(s)
     out = []
     for m in range(3, 1 << s, 4):
         steps, _, _, word, _, capped = walk(m, s)
@@ -105,21 +105,20 @@ def enumerate_minimal(s: int, cap: int = DEFAULT_CENSUS_CAP) -> list[tuple[int, 
     return out
 
 
-def table2_row(n: int, q_cap: int = DEFAULT_Q_CAP) -> tuple[int, str, ParitySequence | None, int]:
+def table2_row(n: int) -> tuple[int, str, ParitySequence | None, int]:
     """Stopping row (n, class, q or None, value) of one n in 12i+3, 12i+7
     or 12i+11, the classes table 2 holds; q is None when the word is longer
-    than q_cap."""
+    than Q_CAP."""
     if n < 1 or n % 12 not in (3, 7, 11):
         raise DomainError(f"table 2 holds only 12i+3, 12i+7 and 12i+11, not {n}")
     s, _, _, word, value = descend(n, DEFAULT_STEP_CAP)
-    q = ParitySequence(word_bits(word, s)) if s <= q_cap else None
+    q = ParitySequence(word_bits(word, s)) if s <= Q_CAP else None
     return n, f"12i+{n % 12}", q, value
 
 
-def table2_rows(max_n: int,
-                q_cap: int = DEFAULT_Q_CAP) -> list[tuple[int, str, ParitySequence | None, int]]:
+def table2_rows(max_n: int) -> list[tuple[int, str, ParitySequence | None, int]]:
     """Stopping rows (n, class, q or None, value) for every n <= max_n in
     12i+3 / 12i+7 / 12i+11"""
     if max_n < 3:
         raise DomainError(f"max_n must be >= 3, got {max_n}")
-    return [table2_row(n, q_cap) for res in (3, 7, 11) for n in range(res, max_n + 1, 12)]
+    return [table2_row(n) for res in (3, 7, 11) for n in range(res, max_n + 1, 12)]

@@ -34,7 +34,7 @@ def _gate(num, text, ok, detail=""):
 
 def test_c01_table2_reproduction():
     t0 = time.perf_counter()
-    rows = {n: (q.bits if q else None, v) for n, _, q, v in table2_rows(467, q_cap=15)}
+    rows = {n: (q.bits if q else None, v) for n, _, q, v in table2_rows(467)}
     elapsed = time.perf_counter() - t0
     assert set(rows) == set(TABLE2)
     mismatches = {n: (TABLE2[n], rows[n]) for n in TABLE2 if rows[n] != TABLE2[n]}
@@ -110,8 +110,8 @@ def test_c04_record_pair_306_485():
 
 def test_c05_ratio_records_table():
     t0 = time.perf_counter()
-    first = ratio_records(485, 25000, 50)
-    extended = ratio_records(485, 302000, 50)
+    first = ratio_records(485, 25000)
+    extended = ratio_records(485, 302000)
     elapsed = time.perf_counter() - t0
 
     rows_ok = [(rec.s, rec.r) for rec in first] == [(s, r) for s, r, _ in TABLE4[:24]]
@@ -266,7 +266,7 @@ def test_c09_descent_transfer():
 
 def test_c10_matveev_constant():
     c = matveev_constant()
-    value = matveev_constant_value(40)
+    value = matveev_constant_value()
     print(f"      40-digit evaluation: {value}")
     _gate(10, "transcendence constant rounds into [821013299, 821013303]",
           821013299 <= c <= 821013303 and abs(Decimal(c) - value) < 1,

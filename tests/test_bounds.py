@@ -152,7 +152,7 @@ def _lower_oracle(r, s):
 
 @pytest.mark.parametrize("r,s", [(306, 485), (1, 2), (2, 4), (7, 12), (41, 65)])
 def test_cycle_lower_bound_against_oracle(r, s):
-    got = cycle_lower_bound(r, s, 50)
+    got = cycle_lower_bound(r, s)
     want = _lower_oracle(r, s)
     assert abs(float(got) - float(want)) < 1e-9
 
@@ -167,7 +167,7 @@ def test_cycle_lower_bound_values():
 def test_matveev_constant():
     c = matveev_constant()
     assert 821013299 <= c <= 821013303
-    value = matveev_constant_value(40)
+    value = matveev_constant_value()
     print(f"matveev 40-digit evaluation: {value}")
     assert int(value.to_integral_value()) == c
     # independent oracle
@@ -208,7 +208,7 @@ def test_envelope_bounds_refuse_non_positive_alpha(alpha):
 
 
 def test_ratio_records_first_rows():
-    records = ratio_records(485, 3000, 50)
+    records = ratio_records(485, 3000)
     assert [(rec.s, rec.r) for rec in records] == [(485, 306), (1539, 971), (2593, 1636)]
     assert all(check_ratio_constraints(rec.s, rec.r).all_hold() for rec in records)
     gaps = [rec.gap for rec in records]
@@ -219,14 +219,14 @@ def test_ratio_records_first_rows():
 def test_ratio_records_match_oracle_log10():
     mp.mp.dps = 60
     l32 = mp.log(2) / mp.log(3)
-    for rec in ratio_records(485, 26000, 50):
+    for rec in ratio_records(485, 26000):
         want = mp.log10(l32 - mp.mpf(rec.r) / rec.s)
         assert abs(rec.log10_gap - float(want)) < 1e-12
         assert float(rec.gap) == pytest.approx(float(l32 - mp.mpf(rec.r) / rec.s))
 
 
 def test_ratio_records_reference_prefix():
-    records = ratio_records(485, 26000, 50)
+    records = ratio_records(485, 26000)
     want = [(s, r) for s, r, _ in TABLE4 if s <= 26000]
     assert [(rec.s, rec.r) for rec in records] == want
 
@@ -244,11 +244,9 @@ def test_ratio_records_from_2_pinned():
 
 def test_ratio_records_validation():
     with pytest.raises(DomainError):
-        ratio_records(1, 100, 50)
+        ratio_records(1, 100)
     with pytest.raises(DomainError):
-        ratio_records(485, 100, 50)
-    with pytest.raises(DomainError):
-        ratio_records(485, 500, 10)
+        ratio_records(485, 100)
 
 
 @given(st.integers(min_value=2, max_value=2000))

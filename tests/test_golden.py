@@ -17,7 +17,6 @@ CASES = {
     "table1": ["table1", "--rows", "30"],
     "table1-json": ["table1", "--rows", "7", "--json"],
     "table2": ["table2", "--max-n", "467"],
-    "table2-qcap": ["table2", "--max-n", "300", "--q-cap", "8"],
     "table2-json": ["table2", "--max-n", "120", "--json"],
     "table3": ["table3"],
     "table3-window": ["table3", "--s-min", "7", "--s-max", "10"],
@@ -55,7 +54,6 @@ DIGESTS = {
     "table1": "513133b244b61bcde96fe0dc395ed4750df3bfafd14573c239fc886d0ff41dd1",
     "table1-json": "7bf4cc4189fcafa71d8f552f80619d2e7f526a99a945a2729c0ad95f9d223e30",
     "table2": "db021a540a4fc615b68b0d40492ba04b944985a58125bc98dc39ce4208acc0d8",
-    "table2-qcap": "69d28b94ef6c41acc3e8eca4a06ad199f53b32643050e58fec37e2a4a1444baf",
     "table2-json": "fff09cf46d32b771e7f955f8383198fa6de03eae464a201858f30ba8af49743a",
     "table3": "79850cb0fac6648514691a7c2e2d7a024491c0c2dae7bb71ef739524fcc8ed35",
     "table3-window": "702610caaab4f187edf82d17e948adc39baeaed6171db17af73b5dd86eefc717",
@@ -102,9 +100,6 @@ def test_golden_output(name, tmp_path, capsys):
     data = out.read_bytes()
     assert hashlib.sha256(data + summary).hexdigest() == DIGESTS[name]
     if "--json" not in argv:
-        # verify re-derives at the producing run's word cap
-        same = [arg for flag, value in zip(argv, argv[1:])
-                if flag == "--q-cap" for arg in (flag, value)]
-        assert main(["verify", str(out)] + same) == 0
+        assert main(["verify", str(out)]) == 0
         rows = data.count(b"\n") - 1
         assert capsys.readouterr().out == f"verified {rows} rows\n"

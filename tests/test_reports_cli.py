@@ -3,12 +3,17 @@ import json
 import os
 import subprocess
 import sys
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from collatzstop.bounds import cycle_candidate, cycle_upper_bound, log3_2
 from collatzstop.cli import main
+from collatzstop.core import stopping_record
+from collatzstop.errors import DomainError
 from collatzstop.reports import (
     Report, VerifyError, bounds_report, cycles_report, render_rational,
     render_sig, scan_to_csv, seq_report, stop_report, table1_report,
@@ -16,6 +21,7 @@ from collatzstop.reports import (
     write_csv, write_jsonl,
 )
 from collatzstop.scan import ScanConfig
+from collatzstop.sequences import parse_sequence
 from fractions import Fraction
 
 
@@ -166,6 +172,92 @@ def test_verify_rejects_unknown_header(tmp_path):
         verify_csv(str(path))
 
 
+def _rows(report: Report) -> list[str]:
+    return csv_text(report).splitlines()[1:]
+
+
+def _table2_key_row(draw) -> str:
+    # the walk's row for any n, also for n outside the three classes table 2 holds
+    n = draw(st.integers(2, 600))
+    rec = stopping_record(n)
+    return f"{n},{rec.q.bits if rec.s <= 15 else ''},{rec.value}"
+
+
+def _table3_key_row(draw) -> str:
+    # the first s parities of any odd m below 2^(s+1), whether or not m stops at s
+    s = draw(st.integers(1, 12))
+    m = 2 * draw(st.integers(0, (1 << s) - 1)) + 1
+    bits, x = "", m
+    for _ in range(s):
+        bits += str(x & 1)
+        x = (3 * x + 1) // 2 if x & 1 else x // 2
+    r = bits.count("1")
+    return f"{s},{r},{3 * r},{2 * s},{3 ** r},{1 << s},12i+{m % 12},{m},{bits}"
+
+
+def _table4_key_row(draw) -> str:
+    # the cells of (s, r) for r at or next to floor(s log3 2), inside the
+    # descent window or not; a stub row when r/s is not below log3(2)
+    s = draw(st.integers(2, 3000))
+    r = s * 630929753571457 // 10 ** 15 + draw(st.sampled_from([0, 0, -1, 1]))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        l32 = log3_2(60)
+        gap = l32 - Decimal(r) / s
+        if gap <= 0:
+            return f"{s},{r},0,0,0,0"
+        cells = (l32 * (s - 1) / s, Decimal(r) / s, l32, gap.log10())
+    return ",".join([str(s), str(r), *map(render_sig, cells)])
+
+
+def _cycles_key_row(draw) -> str:
+    # the closed-form row of any word, whether or not its m1 is an integer >= 1
+    bits = draw(st.text("01", min_size=1, max_size=12))
+    q = parse_sequence(bits)
+    try:
+        c = cycle_candidate(q)
+    except DomainError:
+        return f"{q.s},{q.r},{bits},0,1,0,40,0"
+    return ",".join(map(str, (q.s, q.r, bits, c.numerator, c.denominator,
+                              render_rational(c.m1), 40,
+                              render_rational(cycle_upper_bound(q.r, q.s, 40)))))
+
+
+# kind -> (header, rows of a run that covers every drawn key, key row);
+# table4's rows are records from 2, and each opens the output of a run whose
+# --s-min is its own s, which is the output a table4 row is checked against
+_PRODUCERS = {
+    "table2": ("n,q,F", lambda: _rows(table2_report(600)), _table2_key_row),
+    "table3": ("s,r,3r,2s,3^r,2^s,class,m,q", lambda: _rows(table3_report(1, 12)),
+               _table3_key_row),
+    "table4": ("s,r,lower,ratio,log3_2,log10_gap", lambda: _rows(table4_report(3000, 2)),
+               _table4_key_row),
+    "cycles": ("s,r,q,numerator,denominator,m1,alpha,m1_upper", lambda: _rows(cycles_report(12)),
+               _cycles_key_row),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PRODUCERS))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_verify_accepts_a_row_exactly_when_the_producer_writes_it(tmp_path_factory, kind, data):
+    header, produced, key_row = _PRODUCERS[kind]
+    rows = produced()
+    line = data.draw(st.sampled_from(rows)) if data.draw(st.booleans()) else key_row(data.draw)
+    if data.draw(st.booleans()):
+        line += "0"  # the last cell changed
+    if kind == "table4":
+        s = int(line.split(",")[0])
+        rows = _rows(table4_report(s, s))
+    path = tmp_path_factory.mktemp(kind) / "one.csv"
+    path.write_text(f"{header}\n{line}\n")
+    try:
+        verified = verify_csv(str(path)) == 1
+    except VerifyError:
+        verified = False
+    assert verified == (line in rows)
+
+
 # ------------------------------------------------------------------ CLI
 
 def test_cli_stop_json(capsys):
@@ -208,16 +300,18 @@ def test_cli_verify_malformed_row(tmp_path, capsys, build, bad_row):
     assert capsys.readouterr().err.startswith(f"error: {path}:3: ")
 
 
-@pytest.mark.parametrize("argv", [["table4", "--s-max", "2000", "--out", "out.csv"],
-                                  ["bounds", "--r", "5", "--out", "out.csv"],
-                                  ["verify", "t4.csv"]])
+@pytest.mark.parametrize("argv", [["table4", "--s-max", "2000", "--out", "out.csv", "--digits", "50"],
+                                  ["bounds", "--r", "5", "--out", "out.csv", "--digits", "50"],
+                                  ["verify", "t4.csv", "--digits", "50"],
+                                  ["table2", "--max-n", "300", "--out", "out.csv", "--q-cap", "8"],
+                                  ["verify", "t4.csv", "--q-cap", "15"]])
 def test_cli_digits_is_refused(tmp_path, capsys, argv):
-    # one working precision: no command takes --digits
+    # one working precision and one word cap: no command takes --digits or --q-cap
     (tmp_path / "t4.csv").write_text("s,r,lower,ratio,log3_2,log10_gap\n")
     argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
-    assert main(argv + ["--digits", "50"]) == 1
+    assert main(argv) == 1
     captured = capsys.readouterr()
-    assert captured.out == "" and "--digits" in captured.err
+    assert captured.out == "" and argv[-2] in captured.err
     assert not (tmp_path / "out.csv").exists()
 
 
@@ -263,6 +357,10 @@ def test_cli_verify_table4_ratio_above_log3_2(tmp_path, capsys):
     assert "r/s = 1306/485 is not below log3(2)" in err
 
 
+_T4_485 = "485,306,0.629628867481619,0.630927835051546,0.630929753571457,-5.71703368918797\n"
+_T4_1539 = "1539,971,0.630519792717935,0.630929174788824,0.630929753571457,-6.23748450843968\n"
+
+
 @pytest.mark.parametrize("text,line,reason", [
     ("n,class,s,r,q,value,capped\n1,12i+1,2,1,10,1,1\n", 2, "no scan starts below 2"),
     ("n,class,s,r,q,value,capped\n27,12i+3,0,0,0,27,1\n", 2,
@@ -293,10 +391,22 @@ def test_cli_verify_table4_ratio_above_log3_2(tmp_path, capsys):
     ("s,r,lower,ratio,log3_2,log10_gap\n"
      "1000,3,0.630298823817886,0.00300000000000000,0.630929753571457,-0.202088938018646\n", 2,
      "r/s = 3/1000 is not above (1 - 1/s) log3(2)"),
+    ("s,r,lower,ratio,log3_2,log10_gap\n" + _T4_1539 + _T4_485, 3,
+     "(485, 306) does not follow (1539, 971): s must rise and the gap must fall"),
+    ("s,r,lower,ratio,log3_2,log10_gap\n" + _T4_485 + _T4_485, 3,
+     "(485, 306) does not follow (485, 306)"),
+    ("s,r,lower,ratio,log3_2,log10_gap\n" + _T4_1539
+     + "1541,972,0.630520324789127,0.630759247242051,0.630929753571457,-3.76825949482142\n", 3,
+     "(1541, 972) does not follow (1539, 971)"),
+    ("s,r,lower,ratio,log3_2,log10_gap\n10000001,6309298,0,0,0,0\n", 2,
+     "record at s = 10000001 exceeds the cap 10000000"),
+    ("r,s,alpha,pow_ratio,m1_upper,m1_lower,lower_positive\n100001,158497,40,0,0,0,0\n", 2,
+     "bound at r = 100001 exceeds the cap 100000"),
 ], ids=["scan-n-below-2", "scan-zero-steps", "table2-class-12i+4", "fig2-even-n", "table3-wrong-length",
         "traj-past-1", "cycles-negative-alpha", "bounds-zero-alpha", "table1-negative-i",
         "table3-past-census-cap", "cycles-m1-not-integer", "cycles-first-bit-0",
-        "cycles-past-cap", "table4-below-window"])
+        "cycles-past-cap", "table4-below-window", "table4-rows-swapped", "table4-row-repeated",
+        "table4-gap-not-falling", "table4-past-cap", "bounds-past-cap"])
 def test_cli_verify_refuses_unproducible_row(tmp_path, capsys, text, line, reason):
     path = tmp_path / "r.csv"
     path.write_text(text)
@@ -355,6 +465,8 @@ def test_cli_verify_empty_file(tmp_path, capsys):
      "max_chunks must be >= 0, got -1"),
     (["fig3", "--end", "1000", "--chunk-size", "100", "--max-chunks", "-2"],
      "max_chunks must be >= 0, got -2"),
+    (["table4", "--s-max", "10000001"], "record at s = 10000001 exceeds the cap 10000000"),
+    (["bounds", "--r", "100001"], "bound at r = 100001 exceeds the cap 100000"),
 ])
 def test_cli_out_of_domain_arguments_write_nothing(tmp_path, capsys, argv, reason):
     out = tmp_path / "o.csv"
