@@ -11,7 +11,7 @@ import io
 from collatzstop import log3_2, ratio_records
 from collatzstop.reports import table4_report, write_csv
 
-print(f"log3(2) to 50 digits: {log3_2(50)}")
+print(f"log3(2) to 60 digits: {log3_2()}")
 
 records = ratio_records(485, 30000)
 print(f"\nrecords for s in [485, 30000]: {len(records)}")

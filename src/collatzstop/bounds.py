@@ -5,9 +5,11 @@ lies in the window ((1 - 1/s) log3(2), log3(2)).  Since log is increasing,
 that is exactly the integer bracket 2^(s-1) < 3^r < 2^s, and `_window`
 alone decides it, for the ratio flags, the record ratios and the cycle
 denominators 2^s - 3^r alike.  Only values that are themselves irrational
-(log3(2), record gaps, the cycle lower bound) run in fixed-point decimals,
-at DEFAULT_DIGITS significant digits (plus guard digits), so no result
-depends on binary floating point.
+(log3(2), the cells of a record, the cycle lower bound, the Matveev
+constant) run in decimals, under one rule: each is computed from the one
+cached log3(2) with _GUARD_DIGITS digits beyond DIGITS, then rounded once
+to DIGITS significant digits, so no result depends on binary floating point
+and no caller chooses a precision.
 
 Each length whose cost grows with it has one cap, which the producer checks
 before it writes and `verify` checks before it builds a power: CYCLE_CAP
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 from contextlib import suppress
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
@@ -27,8 +29,8 @@ from typing import Callable
 from .errors import DomainError, LimitError
 from .sequences import ParitySequence, lower_unit_numerator, weighted_sum, word_bits
 
-DEFAULT_DIGITS = 50
-_GUARD_DIGITS = 10  # working digits beyond `digits` before a result is rounded
+DIGITS = 50  # the working precision: every decimal result has this many significant digits
+_GUARD_DIGITS = 10  # working digits beyond the result's before it is rounded
 
 # the envelope W / (3^(r-1) - 2^(r-1)) <= ALPHA: observed, not proven; scans
 # report each breach, and the cycle-number bounds take it as their default
@@ -40,23 +42,20 @@ BOUND_R_CAP = 10 ** 5  # a bound row builds 3^r and 2^s with s about 1.58 r
 DEFAULT_RECORDS_START = 485
 
 
-def _rounded(raw: Callable[[], Decimal], digits: int) -> Decimal:
+def _rounded(raw: Callable[[], Decimal], digits: int = DIGITS) -> Decimal:
     """raw() computed with _GUARD_DIGITS digits beyond `digits`, then rounded
-    to `digits` significant digits."""
-    with localcontext() as ctx:
-        ctx.prec = digits + _GUARD_DIGITS
+    half-even to `digits` significant digits; both steps run in fresh
+    contexts, so the caller's decimal context cannot change a result."""
+    with localcontext(Context(prec=digits + _GUARD_DIGITS)):
         value = raw()
-    with localcontext() as ctx:
-        ctx.prec = digits
-        return +value
+    return Context(prec=digits).plus(value)
 
 
 @lru_cache(maxsize=None)
-def log3_2(digits: int) -> Decimal:
-    """log base 3 of 2 to `digits` significant digits."""
-    if digits < 1:
-        raise DomainError(f"digits must be >= 1, got {digits}")
-    return _rounded(lambda: Decimal(2).ln() / Decimal(3).ln(), digits)
+def log3_2() -> Decimal:
+    """log base 3 of 2 to DIGITS + _GUARD_DIGITS significant digits: the
+    working value that every other decimal result is computed from."""
+    return _rounded(lambda: Decimal(2).ln() / Decimal(3).ln(), DIGITS + _GUARD_DIGITS)
 
 
 @dataclass(frozen=True)
@@ -85,13 +84,17 @@ class CycleCandidate:
 
 @dataclass(frozen=True)
 class RatioRecord:
-    """An (s, r) pair inside the descent window with its gap log3(2) - r/s;
-    ratio_records emits one for each new strict minimum of the gap."""
+    """An (s, r) pair inside the descent window with the cells of its table4
+    row at DIGITS: the window's lower edge (1 - 1/s) log3(2), the ratio r/s,
+    the gap log3(2) - r/s and the gap's log10.  ratio_records emits one for
+    each new strict minimum of the gap."""
 
     s: int
     r: int
+    lower: Decimal
+    ratio: Decimal
     gap: Decimal
-    log10_gap: float
+    log10_gap: Decimal
 
 
 def _window(s: int, r: int) -> tuple[bool, bool]:
@@ -217,21 +220,21 @@ def cycle_lower_bound(r: int, s: int) -> Decimal:
 
     def raw() -> Decimal:
         e1 = Decimal(den) / Decimal(1 << s)
-        exponent = (1 - log3_2(DEFAULT_DIGITS + _GUARD_DIGITS)) * s + 1
+        exponent = (1 - log3_2()) * s + 1
         e2 = Decimal(2) ** (-exponent)
         return (1 - e1 - 3 * e2) / (3 * e1)
-    return _rounded(raw, DEFAULT_DIGITS)
+    return _rounded(raw)
 
 
 def matveev_constant_value() -> Decimal:
-    """e * 2^3.5 * 30^5 * ln 3 evaluated to 40 significant digits."""
+    """e * 2^3.5 * 30^5 * ln 3 to DIGITS significant digits."""
     return _rounded(lambda: (Decimal(1).exp() * (Decimal(2) ** Decimal("3.5"))
-                             * (30 ** 5) * Decimal(3).ln()), 40)
+                             * (30 ** 5) * Decimal(3).ln()))
 
 
 def matveev_constant() -> int:
     """The transcendence-theory constant rounded to the nearest integer."""
-    return int(matveev_constant_value().to_integral_value())
+    return round(matveev_constant_value())  # half-even, whatever the decimal context
 
 
 def matveev_log10_gap_bound(s: int) -> float:
@@ -270,20 +273,19 @@ def check_record_s(s: int) -> None:
 
 
 def ratio_record(s: int, r: int) -> RatioRecord:
-    """The record of (s, r): its gap log3(2) - r/s rounded to DEFAULT_DIGITS
-    significant digits, and the gap's log10.  A pair past RECORD_S_CAP or
-    outside the descent window is refused, whichever half it fails."""
+    """The record of (s, r) with its cells at DIGITS.  A pair past
+    RECORD_S_CAP or outside the descent window is refused, whichever half
+    it fails."""
     check_record_s(s)
     lower, upper = _window(s, r)
     if not upper:
         raise DomainError(f"r/s = {r}/{s} is not below log3(2)")
     if not lower:
         raise DomainError(f"r/s = {r}/{s} is not above (1 - 1/s) log3(2)")
-    with localcontext() as ctx:
-        ctx.prec = DEFAULT_DIGITS + _GUARD_DIGITS
-        gap_raw = log3_2(DEFAULT_DIGITS + _GUARD_DIGITS) - Decimal(r) / Decimal(s)
-    return RatioRecord(s=s, r=r, gap=_rounded(lambda: gap_raw, DEFAULT_DIGITS),
-                       log10_gap=float(_rounded(gap_raw.log10, DEFAULT_DIGITS)))
+    return RatioRecord(s=s, r=r, lower=_rounded(lambda: log3_2() * (s - 1) / s),
+                       ratio=_rounded(lambda: Decimal(r) / s),
+                       gap=_rounded(lambda: log3_2() - Decimal(r) / s),
+                       log10_gap=_rounded(lambda: (log3_2() - Decimal(r) / s).log10()))
 
 
 def ratio_records(s_min: int, s_max: int) -> list[RatioRecord]:
@@ -292,7 +294,7 @@ def ratio_records(s_min: int, s_max: int) -> list[RatioRecord]:
     descent window.
 
     The scan itself runs on the integer fixed-point image of log3(2) at
-    DEFAULT_DIGITS digits; only candidates touch big powers or decimals, so
+    DIGITS digits; only candidates touch big powers or decimals, so
     scanning to a few hundred thousand is cheap.  s_max past RECORD_S_CAP
     is refused before the scan starts.  The window alone implies
     r = floor(s * log3(2)), so every emitted record is exact whatever the
@@ -304,10 +306,8 @@ def ratio_records(s_min: int, s_max: int) -> list[RatioRecord]:
         raise DomainError(f"s_max must be >= s_min, got {s_max} < {s_min}")
     check_record_s(s_max)
 
-    scale = 10 ** DEFAULT_DIGITS
-    with localcontext() as ctx:
-        ctx.prec = DEFAULT_DIGITS + _GUARD_DIGITS
-        scaled = int(log3_2(DEFAULT_DIGITS).scaleb(DEFAULT_DIGITS).to_integral_value())
+    scale = 10 ** DIGITS
+    scaled = int(_rounded(lambda: log3_2().scaleb(DIGITS)))
 
     records = []
     best_frac = best_s = None

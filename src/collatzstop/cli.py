@@ -29,6 +29,15 @@ class Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _fraction(text: str) -> Fraction:
+    """type=Fraction, with a zero denominator the usage error any other bad
+    value gives: argparse turns only ValueError and TypeError into one."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+
+
 def _emit(report: reports.Report, args) -> int:
     writer = reports.write_jsonl if args.json else reports.write_csv
     if args.out:
@@ -107,12 +116,12 @@ def build_parser() -> Parser:
     p = _report_command(sub, "cycles", "integer fixed-point candidates over all words",
                         lambda a: reports.cycles_report(a.s_max, a.alpha))
     p.add_argument("--s-max", type=int, required=True)
-    p.add_argument("--alpha", type=Fraction, default=Fraction(ALPHA))
+    p.add_argument("--alpha", type=_fraction, default=Fraction(ALPHA))
 
     p = _report_command(sub, "bounds", "cycle-number bound curves for r = 1..R",
                         lambda a: reports.bounds_report(a.r_max, a.alpha))
     p.add_argument("--r", dest="r_max", type=int, required=True)
-    p.add_argument("--alpha", type=Fraction, default=Fraction(ALPHA))
+    p.add_argument("--alpha", type=_fraction, default=Fraction(ALPHA))
 
     _scan_command(sub, "scan", "stopping records over a range, to CSV",
                   start=2, end=10 ** 5, cls="all")

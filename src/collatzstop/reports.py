@@ -24,8 +24,9 @@ its own key columns with the same row function, render it with the same
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -45,11 +46,11 @@ SIG_DIGITS = 15
 
 
 def render_sig(d: Decimal) -> str:
-    """Plain decimal string with exactly SIG_DIGITS significant digits."""
+    """Plain decimal string with exactly SIG_DIGITS significant digits, rounded
+    half-even in a fresh context, so the caller's decimal context cannot change it."""
     if d == 0:
         return "0"
-    with localcontext() as ctx:
-        ctx.prec = SIG_DIGITS
+    with localcontext(Context(prec=SIG_DIGITS)):
         d = +d
         d = d.quantize(Decimal((0, (1,), d.adjusted() - (SIG_DIGITS - 1))))
     return format(d, "f")
@@ -166,7 +167,7 @@ def table1_report(rows: int) -> Report:
     four or more)."""
     if rows < 1:
         raise DomainError(f"rows must be >= 1, got {rows}")
-    return Report(_TABLE1_HEADER, [_table1_row(i) for i in range(rows)])
+    return Report(_TABLE1_HEADER, (_table1_row(i) for i in range(rows)))
 
 
 # ---------------------------------------------------------------- table 2
@@ -220,14 +221,7 @@ _TABLE4_HEADER = "s,r,lower,ratio,log3_2,log10_gap"
 
 
 def _table4_row(rec: bnd.RatioRecord) -> Row:
-    """The row of a record made at DEFAULT_DIGITS, so that rec.gap has that precision."""
-    with localcontext() as ctx:
-        ctx.prec = bnd.DEFAULT_DIGITS
-        l32 = bnd.log3_2(bnd.DEFAULT_DIGITS)
-        lower = l32 * (rec.s - 1) / rec.s
-        ratio = Decimal(rec.r) / Decimal(rec.s)
-        log10_gap = rec.gap.log10()
-    return [rec.s, rec.r, *map(render_sig, (lower, ratio, l32, log10_gap))]
+    return [rec.s, rec.r, *map(render_sig, (rec.lower, rec.ratio, bnd.log3_2(), rec.log10_gap))]
 
 
 def table4_report(s_max: int, s_min: int = bnd.DEFAULT_RECORDS_START) -> Report:
@@ -364,22 +358,35 @@ def stop_report(n: int, step_cap: int = DEFAULT_STEP_CAP) -> Report:
     return Report(_STOP_HEADER, [_stop_row(n, step_cap)])
 
 
+def _printable(rows: list[list]) -> list[list]:
+    """rows, refused if a cell is an integer, or a rational with a part, of
+    more digits than str() writes: sys.get_int_max_str_digits(), 0 meaning
+    no limit, counted exactly.  The eager reports check their rows before the
+    first is written, so a refused report writes nothing."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before 3.10.7
+    top = 10 ** limit
+    if limit and any(abs(c.numerator) >= top or c.denominator >= top
+                     for row in rows for c in row if not isinstance(c, str)):
+        raise DomainError(f"a cell would have more than {limit} digits, Python's int-to-str limit")
+    return rows
+
+
 def _traj_rows(n: int, steps: Iterable[tuple[int, int]]) -> Iterator[Row]:
     return ([n, i, v, b] for i, (v, b) in enumerate(steps, 1))
 
 
 def traj_report(n: int, limit: int) -> Report:
-    return Report(_TRAJ_HEADER, list(_traj_rows(n, trajectory(n, limit))))
+    return Report(_TRAJ_HEADER, _printable(list(_traj_rows(n, trajectory(n, limit)))))
 
 
 def _seq_row(text: str, apply_n: int | None) -> Row:
     q = parse_sequence(text)
-    row = [q.bits, q.s, q.r, weighted_sum(q), render_rational(sigma(q))]
-    if apply_n is None:
-        return row
-    out = apply_closed_form(q, apply_n)
-    return row + [apply_n, render_rational(out.value), int(out.exact),
-                  int(is_parity_prefix(q, apply_n))]
+    row = [q.bits, q.s, q.r, weighted_sum(q), sigma(q)]
+    if apply_n is not None:
+        out = apply_closed_form(q, apply_n)
+        row += [apply_n, out.value, int(out.exact), int(is_parity_prefix(q, apply_n))]
+    # the rationals are rendered once the row is known to be printable
+    return [render_rational(c) if isinstance(c, Fraction) else c for c in _printable([row])[0]]
 
 
 def seq_report(text: str, apply_n: int | None = None) -> Report:

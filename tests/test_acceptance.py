@@ -124,7 +124,7 @@ def test_c05_ratio_records_table():
     worst_true = 0.0
     for rec in extended:
         true_log10 = float(mp.log10(l32 - mp.mpf(rec.r) / rec.s))
-        worst_true = max(worst_true, abs(rec.log10_gap - true_log10))
+        worst_true = max(worst_true, abs(float(rec.log10_gap) - true_log10))
     accuracy_ok = worst_true < 1e-9
 
     # the printed reference values came from 64-bit floats; their pipeline
@@ -134,7 +134,7 @@ def test_c05_ratio_records_table():
     float_artifacts = []
     envelope_ok = True
     for rec, (s, r, printed) in zip(extended, TABLE4):
-        diff = abs(rec.log10_gap - float(printed))
+        diff = abs(float(rec.log10_gap) - float(printed))
         envelope = max(1e-9, 8 * 2.3e-16 / (float(rec.gap) * math.log(10)))
         envelope_ok &= diff <= envelope
         if diff > 1e-9:
@@ -267,7 +267,7 @@ def test_c09_descent_transfer():
 def test_c10_matveev_constant():
     c = matveev_constant()
     value = matveev_constant_value()
-    print(f"      40-digit evaluation: {value}")
+    print(f"      evaluation: {value}")
     _gate(10, "transcendence constant rounds into [821013299, 821013303]",
           821013299 <= c <= 821013303 and abs(Decimal(c) - value) < 1,
           f"C={c}")

@@ -15,13 +15,16 @@ from collatzstop import (
     matveev_constant, matveev_constant_value, matveev_log10_gap_bound,
     parse_sequence, ratio_records, stopping_number_bounds, unique_s_for_r,
 )
-from collatzstop.bounds import DEFAULT_DIGITS, ratio_record
+from collatzstop.bounds import DIGITS, ratio_record
 from collatzstop.cli import main
 from reference_tables import TABLE4
 
 
 def test_log3_2_digits():
-    assert str(log3_2(20)) == "0.63092975357145743710"
+    with mp.workdps(80):
+        want = Decimal(mp.nstr(mp.log(2) / mp.log(3), 60))
+    assert log3_2() == want
+    assert len(log3_2().as_tuple().digits) == 60
 
 
 def test_ratio_constraints_examples():
@@ -33,11 +36,11 @@ def test_ratio_constraints_examples():
 
 
 def _decimal_ratio_flags(s, r):
-    """The ratio halves as decimal comparisons at DEFAULT_DIGITS: the oracle
+    """The ratio halves as decimal comparisons at DIGITS: the oracle
     for the exact window, (1 - 1/s) log3(2) < r/s and r/s < log3(2)."""
     with localcontext() as ctx:
-        ctx.prec = DEFAULT_DIGITS
-        l32 = log3_2(DEFAULT_DIGITS)
+        ctx.prec = DIGITS
+        l32 = log3_2()
         return l32 * (s - 1) < r, r < l32 * s
 
 
@@ -57,7 +60,7 @@ def test_ratio_constraints_match_decimal_oracle_small():
 
 def test_ratio_constraints_match_decimal_oracle_near_boundaries():
     rng = random.Random(20211)
-    l32 = float(log3_2(30))
+    l32 = float(log3_2())
     for _ in range(80):  # each pair builds a 3^r of up to 300,000 bits
         s = rng.randrange(700, 300_000)
         # the floors of s log3(2) and (s - 1) log3(2), and their neighbours
@@ -168,7 +171,7 @@ def test_matveev_constant():
     c = matveev_constant()
     assert 821013299 <= c <= 821013303
     value = matveev_constant_value()
-    print(f"matveev 40-digit evaluation: {value}")
+    print(f"matveev evaluation: {value}")
     assert int(value.to_integral_value()) == c
     # independent oracle
     mp.mp.dps = 50
@@ -213,7 +216,7 @@ def test_ratio_records_first_rows():
     assert all(check_ratio_constraints(rec.s, rec.r).all_hold() for rec in records)
     gaps = [rec.gap for rec in records]
     assert gaps == sorted(gaps, reverse=True)
-    assert records[0].log10_gap == pytest.approx(-5.717033689, abs=1e-8)
+    assert float(records[0].log10_gap) == pytest.approx(-5.717033689, abs=1e-8)
 
 
 def test_ratio_records_match_oracle_log10():
@@ -221,7 +224,7 @@ def test_ratio_records_match_oracle_log10():
     l32 = mp.log(2) / mp.log(3)
     for rec in ratio_records(485, 26000):
         want = mp.log10(l32 - mp.mpf(rec.r) / rec.s)
-        assert abs(rec.log10_gap - float(want)) < 1e-12
+        assert abs(float(rec.log10_gap) - float(want)) < 1e-12
         assert float(rec.gap) == pytest.approx(float(l32 - mp.mpf(rec.r) / rec.s))
 
 
@@ -251,7 +254,7 @@ def test_ratio_records_validation():
 
 @given(st.integers(min_value=2, max_value=2000))
 def test_floor_ratio_always_upper_ok(s):
-    r = int(s * float(log3_2(30)))
+    r = int(s * float(log3_2()))
     flags = check_ratio_constraints(s, r)
     if 3 ** r < 2 ** s:  # guard against float slop in r
         assert flags.ratio_upper

@@ -23,6 +23,7 @@ CASES = {
     "table3-json": ["table3", "--s-min", "4", "--s-max", "9", "--json"],
     "table4": ["table4", "--s-max", "20000"],
     "table4-digits": ["table4", "--s-max", "5000", "--s-min", "300"],
+    "table4-records": ["table4", "--s-max", "302000"],
     "table4-json": ["table4", "--s-max", "2000", "--json"],
     "cycles": ["cycles", "--s-max", "12"],
     "cycles-alpha": ["cycles", "--s-max", "10", "--alpha", "7/2"],
@@ -60,6 +61,7 @@ DIGESTS = {
     "table3-json": "6e495bafc757ef088ac33f4d12e0f15608765f6f1fbbe9852c33b89e886b7c96",
     "table4": "dcdbfce3188b0fd1db786226e1474d0a06f6ec5e815a11a67e0897b0349afe1e",
     "table4-digits": "a3004c299871c5c8a3a99b2f97f21b3586251cff04f631e079eb070a6fd9f5ee",
+    "table4-records": "4e8703cb28e20717994462cac684f2f9b2c2ba57652b195941e68f1793717fd5",
     "table4-json": "72707c28734bea195f4e666c7e4ab65f89e324f357df76ff79247a3ca301d38a",
     "cycles": "c10a8e5e90a7fa6f7f9faa9a92706614fba2bba7f3b80a3aac74be9154ea6f7c",
     "cycles-alpha": "3a15375aa48d2663459e2e0980a896739d3ae2044ba5f821bd5647c9eb923b7e",

@@ -3,19 +3,20 @@ import json
 import os
 import subprocess
 import sys
-from decimal import Decimal, localcontext
+import tracemalloc
+from decimal import ROUND_DOWN, Decimal, localcontext
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collatzstop.bounds import cycle_candidate, cycle_upper_bound, log3_2
+from collatzstop.bounds import cycle_candidate, cycle_upper_bound, log3_2, matveev_constant
 from collatzstop.cli import main
 from collatzstop.core import stopping_record
 from collatzstop.errors import DomainError
 from collatzstop.reports import (
-    Report, VerifyError, bounds_report, cycles_report, render_rational,
+    Report, VerifyError, _printable, bounds_report, cycles_report, render_rational,
     render_sig, scan_to_csv, seq_report, stop_report, table1_report,
     table2_report, table3_report, table4_report, traj_report, verify_csv,
     write_csv, write_jsonl,
@@ -202,7 +203,7 @@ def _table4_key_row(draw) -> str:
     r = s * 630929753571457 // 10 ** 15 + draw(st.sampled_from([0, 0, -1, 1]))
     with localcontext() as ctx:
         ctx.prec = 60
-        l32 = log3_2(60)
+        l32 = log3_2()
         gap = l32 - Decimal(r) / s
         if gap <= 0:
             return f"{s},{r},0,0,0,0"
@@ -273,6 +274,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["table2"]) == 1          # missing required --max-n
     assert main(["seq", "10x"]) == 2
     assert main(["cycles", "--s-max", "99"]) == 2
+    for cmd in (["cycles", "--s-max", "6"], ["bounds", "--r", "3"]):
+        capsys.readouterr()
+        # a zero denominator is the usage error any other bad value is
+        assert main(cmd + ["--alpha", "1/0"]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: argument --alpha: invalid Fraction value: '1/0'\n")
     bad_ck = tmp_path / "bad.ck"
     bad_ck.write_text("garbage\n")
     assert main(["scan", "--start", "2", "--end", "50",
@@ -467,12 +474,52 @@ def test_cli_verify_empty_file(tmp_path, capsys):
      "max_chunks must be >= 0, got -2"),
     (["table4", "--s-max", "10000001"], "record at s = 10000001 exceeds the cap 10000000"),
     (["bounds", "--r", "100001"], "bound at r = 100001 exceeds the cap 100000"),
+    (["seq", "1" * 10000], f"more than {sys.get_int_max_str_digits()} digits"),
+    (["traj", str(2 ** 14000 - 1), "--limit", "20000"],
+     f"more than {sys.get_int_max_str_digits()} digits"),
 ])
 def test_cli_out_of_domain_arguments_write_nothing(tmp_path, capsys, argv, reason):
     out = tmp_path / "o.csv"
     assert main(argv + ["--out", str(out)]) == 2
     assert reason in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_printable_is_exact():
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        edge = 10 ** 4300 - 1
+        rows = [["x" * 5000, edge, Fraction(1, edge), -edge]]
+        assert _printable(rows) is rows and str(edge)
+        for v in (10 ** 4300, -(10 ** 4300), Fraction(1, 10 ** 4300)):
+            with pytest.raises(DomainError, match="more than 4300 digits"):
+                _printable([[7], ["x", v]])
+        sys.set_int_max_str_digits(0)  # no limit
+        _printable([[10 ** 5000]])
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_caller_decimal_context_changes_no_output():
+    # every decimal result is rounded in a context of its own
+    want = csv_text(table4_report(3000)) + csv_text(bounds_report(20))
+    with localcontext() as ctx:
+        ctx.prec, ctx.rounding = 5, ROUND_DOWN
+        assert csv_text(table4_report(3000)) + csv_text(bounds_report(20)) == want
+        assert matveev_constant() == 821013301
+
+
+def test_table1_streams():
+    # rows are built as they are written, so the peak does not grow with --rows
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "wb") as fh:
+            assert write_csv(table1_report(100_000), fh) == 100_000
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_cli_table3_csv(capsys):
