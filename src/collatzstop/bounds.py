@@ -14,6 +14,9 @@ and no caller chooses a precision.
 Each length whose cost grows with it has one cap, which the producer checks
 before it writes and `verify` checks before it builds a power: CYCLE_CAP
 on a cycle word, RECORD_S_CAP on a record's s, BOUND_R_CAP on a bound's r.
+The rules a report's rows obey are decided here, once, for the producer and
+`verify` alike: `fixed_point` takes a cycles row's word, `ratio_record`
+a table4 row's pair, and `gap_falls` orders one record after another.
 """
 
 from __future__ import annotations
@@ -156,6 +159,17 @@ def check_cycle_length(s: int) -> None:
         raise LimitError(f"cycle search to length {s} exceeds the cap {CYCLE_CAP}")
 
 
+def fixed_point(q: ParitySequence) -> CycleCandidate:
+    """The candidate of q, a word the cycle search writes: no longer than
+    CYCLE_CAP, starting with an odd step, with an integer m1 >= 1.  Any other
+    word is refused.  The search and `verify` both take a cycles row by it."""
+    check_cycle_length(q.s)
+    cand = cycle_candidate(q)
+    if q.bits[0] != "1" or not cand.is_integer or cand.m1 < 1:
+        raise DomainError(f"word {q.bits} does not start with 1 or has no integer m1 >= 1")
+    return cand
+
+
 def check_bound_r(r: int) -> None:
     """Refuse a bound row past r = BOUND_R_CAP."""
     if r > BOUND_R_CAP:
@@ -170,7 +184,8 @@ def enumerate_cycle_candidates(s_max: int) -> list[CycleCandidate]:
     step: only first-bit-1 words are searched.  The walk over the word tree
     carries the walk kernel's state (s, r, W, packed word), grows W by its
     rule, and prunes subtrees whose odd-step count already forces 3^r above
-    2^s_max.  Only a found candidate's word is decoded to text.
+    2^s_max.  Only a word whose W is a multiple of 2^s - 3^r > 0 is decoded
+    to text, and `fixed_point` takes it (W >= 1, so m1 >= 1 follows).
     """
     if s_max < 1:
         raise DomainError(f"s_max must be >= 1, got {s_max}")
@@ -181,8 +196,8 @@ def enumerate_cycle_candidates(s_max: int) -> list[CycleCandidate]:
 
     def walk(s: int, r: int, w: int, word: int) -> None:
         den = (1 << s) - pow3[r]
-        if den > 0 and w >= den and w % den == 0:
-            found.append(cycle_candidate(ParitySequence(word_bits(word, s))))
+        if den > 0 and w % den == 0:
+            found.append(fixed_point(ParitySequence(word_bits(word, s))))
         if s == s_max:
             return
         walk(s + 1, r, w, word << 1)
@@ -288,17 +303,25 @@ def ratio_record(s: int, r: int) -> RatioRecord:
                        log10_gap=_rounded(lambda: (log3_2() - Decimal(r) / s).log10()))
 
 
+def gap_falls(prev: tuple[int, int], pair: tuple[int, int]) -> bool:
+    """Whether the record pair (s, r) may follow (s0, r0): s rises and the gap
+    log3(2) - r/s falls strictly.  Both gaps are positive inside the descent
+    window, so the gap falls exactly when r/s rises; ratio_records emits its
+    records by it and `verify` orders table4 rows by it."""
+    (s0, r0), (s, r) = prev, pair
+    return s > s0 and r * s0 > r0 * s
+
+
 def ratio_records(s_min: int, s_max: int) -> list[RatioRecord]:
     """Scan s ascending with r = floor(s * log3(2)); emit a record whenever
-    the gap log3(2) - r/s sets a new strict minimum and (s, r) is inside the
-    descent window.
+    the gap log3(2) - r/s sets a new strict minimum (`gap_falls` from the last
+    candidate, starting at (1, 0)) and (s, r) is inside the descent window.
 
-    The scan itself runs on the integer fixed-point image of log3(2) at
-    DIGITS digits; only candidates touch big powers or decimals, so
-    scanning to a few hundred thousand is cheap.  s_max past RECORD_S_CAP
-    is refused before the scan starts.  The window alone implies
-    r = floor(s * log3(2)), so every emitted record is exact whatever the
-    fixed-point precision.
+    r comes from the integer fixed-point image of log3(2) at DIGITS digits;
+    only candidates touch big powers or decimals, so scanning to a few
+    hundred thousand is cheap.  s_max past RECORD_S_CAP is refused before
+    the scan starts.  The window alone implies r = floor(s * log3(2)), so
+    every emitted record is exact whatever the fixed-point precision.
     """
     if s_min < 2:
         raise DomainError(f"s_min must be >= 2, got {s_min}")
@@ -310,12 +333,11 @@ def ratio_records(s_min: int, s_max: int) -> list[RatioRecord]:
     scaled = int(_rounded(lambda: log3_2().scaleb(DIGITS)))
 
     records = []
-    best_frac = best_s = None
+    best = (1, 0)
     for s in range(s_min, s_max + 1):
-        r, frac = divmod(s * scaled, scale)
-        # gap(s) = frac / (scale * s); strict-minimum test by cross product
-        if best_frac is None or frac * best_s < best_frac * s:
+        pair = (s, s * scaled // scale)
+        if gap_falls(best, pair):
             with suppress(DomainError):  # outside the window: no record
-                records.append(ratio_record(s, r))
-            best_frac, best_s = frac, s
+                records.append(ratio_record(*pair))
+            best = pair
     return records

@@ -148,8 +148,8 @@ def _run_scan(kind: str, args) -> int:
         f"{ratio.numerator}/{ratio.denominator}" if ratio is not None else "-",
         stats.argmax_n if stats.argmax_n is not None else "-",
         1 if done else 0))
-    for n, kind_ in stats.violations:
-        print(f"violation: n={n} constraint={kind_}")
+    for n in stats.violations:
+        print(f"violation: n={n} constraint=alpha")
     return 0
 
 

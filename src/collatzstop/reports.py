@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import bounds as bnd
 from . import residues as res
@@ -199,20 +199,10 @@ def _table3_row(s: int, m: int, q: ParitySequence) -> Row:
 def table3_report(s_min: int, s_max: int) -> Report:
     """Minimal-census rows grouped by length, then by mod-12 class, then m.
 
-    The cap is checked before any census runs, so nothing is written for a
-    window that cannot complete.
+    residues.census checks the window and the cap before any census runs,
+    so nothing is written for a window that cannot complete.
     """
-    if s_min < 1 or s_max < s_min:
-        raise DomainError(f"need 1 <= s_min <= s_max, got ({s_min}, {s_max})")
-    res.check_census_length(s_max)
-
-    def rows() -> Iterator[Row]:
-        for s in range(s_min, s_max + 1):
-            # sorting is stable, so m stays ascending within each class
-            for m, q in sorted(res.enumerate_minimal(s), key=lambda mq: mq[0] % 12):
-                yield _table3_row(s, m, q)
-
-    return Report(_TABLE3_HEADER, rows())
+    return Report(_TABLE3_HEADER, (_table3_row(s, m, q) for s, m, q in res.census(s_min, s_max)))
 
 
 # ---------------------------------------------------------------- table 4
@@ -417,46 +407,29 @@ def _scan_kind_line(kind: str, n: int, s: int) -> str:
     return line
 
 
-def _table3_check(s: int, m: int) -> Row:
-    res.check_census_length(s)
-    if m % 2 == 0 or m < 3 or m.bit_length() > s:
-        raise DomainError(f"m = {m} is not an odd residue with 1 < m < 2^{s}")
-    _, steps, _, _, word, _, capped = _walk_row(m, s)
-    if steps != s or capped:
-        raise DomainError(f"{m} does not stop in exactly {s} steps")
-    return _table3_row(s, m, ParitySequence(word_bits(word, s)))
-
-
-def _cycles_check(bits: str, alpha: Fraction) -> Row:
-    bnd.check_cycle_length(len(bits))
-    cand = bnd.cycle_candidate(parse_sequence(bits))
-    # the search canonicalizes each cycle to a word that starts with an odd step
-    if bits[0] != "1" or not cand.is_integer or cand.m1 < 1:
-        raise DomainError(f"word {bits} does not start with 1 or has no integer m1 >= 1")
-    return _cycles_row(cand, alpha)
-
-
 def verify_csv(path: str) -> int:
     """Re-derive every row of a CSV produced by this package.
 
     Streams the file and returns the number of verified rows; raises
     VerifyError naming the file and line on the first row that does not
     parse or whose line differs from the re-derived row's `csv_line`.  Each
-    row is re-derived from its own key cells, under the constants its
-    producer uses (residues.Q_CAP, CENSUS_CAP; bounds.CYCLE_CAP,
-    RECORD_S_CAP, BOUND_R_CAP), each length cap checked before the row's
-    arithmetic starts.  Two
-    reports also keep state across rows: traj rows must follow the walk
-    from the first row's n, step 1, 2, 3, ..., and may not go past the
-    point where it reaches 1 (a traj file that stops early still verifies,
-    since `traj --limit` writes one); each table4 row after the first must
-    have a larger s and a strictly smaller gap than the row before it.
+    row is re-derived from its own key cells by the rule its producer uses
+    (residues.census_word for table3, bounds.fixed_point for cycles,
+    bounds.ratio_record for table4), under the producer's constants
+    (residues.Q_CAP, CENSUS_CAP; bounds.CYCLE_CAP, RECORD_S_CAP,
+    BOUND_R_CAP), each length cap checked before the row's arithmetic
+    starts.  Three rules span rows, each checked after the row's own
+    re-derivation: traj rows must follow the walk from the first row's n,
+    step 1, 2, 3, ..., and may not go past the point where it reaches 1 (a
+    traj file that stops early still verifies, since `traj --limit` writes
+    one); each table4 row after the first must follow the row before it by
+    bounds.gap_falls; and scan, fig2 and fig3 rows must rise strictly in n.
     Whether a table4 row is a record from the producing `--s-min` on is
-    not checked: any row inside the descent window can open a file.
+    not checked: any row inside the descent window can open a file.  The
+    other reports are checked row by row, so a repeated row still verifies.
     """
     traj_walk: Iterator[Row] | None = None  # traj only: the rows still expected
-    # table4 only: the last row's (s, r); every row inside the window follows (1, 0)
-    table4_last = (1, 0)
+    last_key = None  # table4 and the scan kinds: the last row's key
 
     def traj_row(c: list[str]) -> Row:
         nonlocal traj_walk
@@ -468,27 +441,32 @@ def verify_csv(path: str) -> int:
             raise DomainError(f"the walk from {c[0]} has already reached 1")
         return want
 
-    def table4_row(c: list[str]) -> Row:
-        nonlocal table4_last
-        s0, r0 = table4_last
-        table4_last = s, r = int(c[0]), int(c[1])
-        want = _table4_row(bnd.ratio_record(s, r))
-        # both gaps log3(2) - r/s are positive, so the gap falls when r/s rises
-        if s <= s0 or r * s0 <= r0 * s:
-            raise DomainError(f"({s}, {r}) does not follow ({s0}, {r0}): "
-                              f"s must rise and the gap must fall")
+    def ordered(key, want: Row | str, follows: Callable, rule: str) -> Row | str:
+        nonlocal last_key  # want is re-derived first, so its own faults show first
+        last, last_key = last_key, key
+        if last is not None and not follows(last, key):
+            raise DomainError(f"{key} does not follow {last}: {rule}")
         return want
+
+    def table4_row(c: list[str]) -> Row:
+        s, r = int(c[0]), int(c[1])
+        return ordered((s, r), _table4_row(bnd.ratio_record(s, r)), bnd.gap_falls,
+                       "s must rise and the gap must fall")
+
+    def scan_line(kind: str, n: int, s: int) -> str:
+        return ordered(n, _scan_kind_line(kind, n, s), int.__lt__, "n must rise")
 
     rederive = {  # header -> key cells -> expected row, or line for the scan kinds
         _TABLE1_HEADER: lambda c: _table1_row(int(c[0])),
         _TABLE2_HEADER: lambda c: _table2_row(res.table2_row(int(c[0]))),
-        _TABLE3_HEADER: lambda c: _table3_check(int(c[0]), int(c[7])),
+        _TABLE3_HEADER: lambda c: _table3_row(int(c[0]), int(c[7]),
+                                              res.census_word(int(c[0]), int(c[7]))),
         _TABLE4_HEADER: table4_row,
-        _CYCLES_HEADER: lambda c: _cycles_check(c[2], Fraction(c[6])),
+        _CYCLES_HEADER: lambda c: _cycles_row(bnd.fixed_point(parse_sequence(c[2])), Fraction(c[6])),
         _BOUNDS_HEADER: lambda c: _bounds_row(int(c[0]), Fraction(c[2])),
-        _SCAN_HEADER: lambda c: _scan_kind_line("scan", int(c[0]), int(c[2])),
-        _FIG2_HEADER: lambda c: _scan_kind_line("fig2", int(c[0]), int(c[1])),
-        _FIG3_HEADER: lambda c: _scan_kind_line("fig3", int(c[0]), int(c[1])),
+        _SCAN_HEADER: lambda c: scan_line("scan", int(c[0]), int(c[2])),
+        _FIG2_HEADER: lambda c: scan_line("fig2", int(c[0]), int(c[1])),
+        _FIG3_HEADER: lambda c: scan_line("fig3", int(c[0]), int(c[1])),
         _STOP_HEADER: lambda c: _stop_row(int(c[0]), DEFAULT_STEP_CAP),
         _TRAJ_HEADER: traj_row,
         _SEQ_HEADER: lambda c: _seq_row(c[0], None),

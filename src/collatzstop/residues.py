@@ -6,11 +6,15 @@ exactly two steps; the remaining odd classes 12i+3 / 12i+7 / 12i+11 need at
 least four.  For an odd m < 2^s whose stopping word q has length s, every
 n = 2^s(3j+k) + m, k in {0,1,2}, shares the prefix q and descends the same
 way, so one census row covers three arithmetic progressions of starters.
+The census's rules are decided here, for `table3` and `verify` alike:
+`census` checks a window and orders its rows, and `census_word` takes one
+row's (s, m) by the walk `enumerate_minimal` makes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .core import DEFAULT_STEP_CAP, descend, walk
 from .errors import DomainError, LimitError
@@ -84,6 +88,13 @@ def check_census_length(s: int) -> None:
         raise LimitError(f"census of length {s} exceeds the cap {CENSUS_CAP}")
 
 
+def _minimal_word(m: int, s: int) -> ParitySequence | None:
+    """m's stopping word when m stops in exactly s steps, else None: one
+    walk capped at s, which stops there exactly when m does."""
+    steps, _, _, word, _, capped = walk(m, s)
+    return ParitySequence(word_bits(word, s)) if steps == s and not capped else None
+
+
 def enumerate_minimal(s: int) -> list[tuple[int, ParitySequence]]:
     """All odd m < 2^s with stopping time exactly s, with their words,
     ascending in m.
@@ -97,12 +108,31 @@ def enumerate_minimal(s: int) -> list[tuple[int, ParitySequence]]:
     if s < 1:
         raise DomainError(f"s must be >= 1, got {s}")
     check_census_length(s)
-    out = []
-    for m in range(3, 1 << s, 4):
-        steps, _, _, word, _, capped = walk(m, s)
-        if steps == s and not capped:
-            out.append((m, ParitySequence(word_bits(word, s))))
-    return out
+    return [(m, q) for m in range(3, 1 << s, 4) if (q := _minimal_word(m, s)) is not None]
+
+
+def census(s_min: int, s_max: int) -> Iterator[tuple[int, int, ParitySequence]]:
+    """The census rows (s, m, q) for s_min <= s <= s_max: grouped by s, then
+    by mod-12 class, then ascending in m.  The window and the cap are checked
+    here, before any census runs."""
+    if s_min < 1 or s_max < s_min:
+        raise DomainError(f"need 1 <= s_min <= s_max, got ({s_min}, {s_max})")
+    check_census_length(s_max)
+    # sorting is stable, so m stays ascending within each class
+    return ((s, m, q) for s in range(s_min, s_max + 1)
+            for m, q in sorted(enumerate_minimal(s), key=lambda mq: mq[0] % 12))
+
+
+def census_word(s: int, m: int) -> ParitySequence:
+    """The word of the census row (s, m), refused unless the census of
+    length s holds m: s past CENSUS_CAP, m not odd with 1 < m < 2^s, or m
+    not stopping in exactly s steps.  `verify` checks a table3 row by it."""
+    check_census_length(s)
+    if m % 2 == 0 or m < 3 or m.bit_length() > s:
+        raise DomainError(f"m = {m} is not an odd residue with 1 < m < 2^{s}")
+    if (q := _minimal_word(m, s)) is None:
+        raise DomainError(f"{m} does not stop in exactly {s} steps")
+    return q
 
 
 def table2_row(n: int) -> tuple[int, str, ParitySequence | None, int]:

@@ -63,15 +63,16 @@ class ScanStats:
 
     The ratio tracked is W / (3^(r-1) - 2^(r-1)), kept as an exact integer
     pair; rows with r < 2 (two-step reducers and evens) have a zero unit and
-    are excluded from it.  violations lists only breaches of the empirical
-    alpha envelope; a breach of a proven bound is a bug, not a statistic.
+    are excluded from it.  violations lists the n of each breach of the
+    empirical alpha envelope, the only constraint a scan checks; a breach of
+    a proven bound is a bug, not a statistic.
     """
 
     count: int = 0
     ratio_num: int = 0
     ratio_den: int = 1
     argmax_n: int | None = None
-    violations: list[tuple[int, str]] = field(default_factory=list)
+    violations: list[int] = field(default_factory=list)
 
     @property
     def max_alpha_ratio(self) -> Fraction | None:
@@ -79,12 +80,13 @@ class ScanStats:
             return None
         return Fraction(self.ratio_num, self.ratio_den)
 
-    def _merge(self, chunk: tuple) -> None:
-        count, num, den, argmax, violations = chunk
-        self.count += count
-        if argmax is not None and num * self.ratio_den > self.ratio_num * den:
-            self.ratio_num, self.ratio_den, self.argmax_n = num, den, argmax
-        self.violations.extend(violations)
+    def _merge(self, chunk: ScanStats) -> None:
+        self.count += chunk.count
+        if (chunk.argmax_n is not None
+                and chunk.ratio_num * self.ratio_den > self.ratio_num * chunk.ratio_den):
+            self.ratio_num, self.ratio_den = chunk.ratio_num, chunk.ratio_den
+            self.argmax_n = chunk.argmax_n
+        self.violations.extend(chunk.violations)
 
 
 @dataclass(frozen=True)
@@ -105,23 +107,21 @@ def _chunk_starts(lo: int, hi: int, residue: int | None) -> range:
     return range(first, hi + 1, 12)
 
 
-def _chunk_worker(args: tuple) -> tuple[list, tuple]:
+def _chunk_worker(args: tuple) -> tuple[list, ScanStats]:
     lo, hi, residue, cap = args
     rows = []
-    count = 0
     best_num, best_den, argmax = 0, 1, None
     violations = []
     for n in _chunk_starts(lo, hi, residue):
         s, r, w, word, v, capped = _scan_one(n, cap)
         rows.append((n, s, r, w, word, v, capped))
-        count += 1
         if not capped and r >= 2:
             unit = lower_unit_numerator(r)
             if w * best_den > best_num * unit:
                 best_num, best_den, argmax = w, unit, n
             if w > ALPHA * unit:
-                violations.append((n, "alpha"))
-    return rows, (count, best_num, best_den, argmax, violations)
+                violations.append(n)
+    return rows, ScanStats(len(rows), best_num, best_den, argmax, violations)
 
 
 def _chunks(cfg: ScanConfig) -> list[tuple[int, int]]:
@@ -129,7 +129,7 @@ def _chunks(cfg: ScanConfig) -> list[tuple[int, int]]:
             for a in range(cfg.start, cfg.end + 1, cfg.chunk_size)]
 
 
-def _chunk_results(cfg: ScanConfig, chunks: list[tuple[int, int]]) -> Iterator[tuple[list, tuple]]:
+def _chunk_results(cfg: ScanConfig, chunks: list[tuple[int, int]]) -> Iterator[tuple[list, ScanStats]]:
     """Results for the given chunks, in order, parallel when asked."""
     residue = _RESIDUE[cfg.class_filter]
     args = [(lo, hi, residue, cfg.step_cap) for lo, hi in chunks]
@@ -222,7 +222,7 @@ def _seal(digest, fields: list[str]) -> str:
 
 
 def checkpoint_save(path: str, config_hash: str, chunk: tuple[int, int],
-                    chunk_stats: tuple, out_bytes: int, digest) -> None:
+                    stats: ScanStats, out_bytes: int, digest) -> None:
     """Append one completed chunk's ledger line, after the header line when the
     ledger is empty.
 
@@ -233,10 +233,9 @@ def checkpoint_save(path: str, config_hash: str, chunk: tuple[int, int],
     included) and of every earlier line's fields; this line's fields are
     added to it before the hex digest is taken.
     """
-    count, num, den, argmax, violations = chunk_stats
-    own = [str(f) for f in (*chunk, count, f"{num}/{den}",
-                             "-" if argmax is None else argmax, out_bytes)]
-    viol = [str(n) for n, _ in violations]
+    own = [str(f) for f in (*chunk, stats.count, f"{stats.ratio_num}/{stats.ratio_den}",
+                             "-" if stats.argmax_n is None else stats.argmax_n, out_bytes)]
+    viol = [str(n) for n in stats.violations]
     line = ",".join([*own, _seal(digest, own + viol), *viol])
     with open(path, "a", encoding="ascii") as fh:
         if fh.tell() == 0:  # new, or cut back to nothing from a torn header
@@ -289,8 +288,8 @@ def checkpoint_resume(cfg: ScanConfig, header: str, out_path: str) -> Checkpoint
             lo, hi, count, num, den, out_bytes = map(int, (lo, hi, count, num, den, out_bytes))
             if count < 0 or den < 1 or out_bytes < state.out_bytes:
                 raise ValueError
-            chunk = (count, num, den, None if argmax == "-" else int(argmax),
-                     [(int(n), "alpha") for n in viol])  # alpha: the one envelope scans check
+            chunk = ScanStats(count, num, den, None if argmax == "-" else int(argmax),
+                              [int(n) for n in viol])
         except ValueError:
             raise CheckpointError(f"checkpoint {path!r} has a corrupt ledger line: {ln!r}; "
                                   "delete it to start fresh") from None

@@ -21,6 +21,7 @@ CASES = {
     "table3": ["table3"],
     "table3-window": ["table3", "--s-min", "7", "--s-max", "10"],
     "table3-json": ["table3", "--s-min", "4", "--s-max", "9", "--json"],
+    "table3-census": ["table3", "--s-min", "4", "--s-max", "20"],
     "table4": ["table4", "--s-max", "20000"],
     "table4-digits": ["table4", "--s-max", "5000", "--s-min", "300"],
     "table4-records": ["table4", "--s-max", "302000"],
@@ -28,6 +29,7 @@ CASES = {
     "cycles": ["cycles", "--s-max", "12"],
     "cycles-alpha": ["cycles", "--s-max", "10", "--alpha", "7/2"],
     "cycles-json": ["cycles", "--s-max", "8", "--json"],
+    "cycles-20": ["cycles", "--s-max", "20"],
     "bounds": ["bounds", "--r", "40"],
     "bounds-args": ["bounds", "--r", "15", "--alpha", "3"],
     "bounds-json": ["bounds", "--r", "10", "--json"],
@@ -59,6 +61,7 @@ DIGESTS = {
     "table3": "79850cb0fac6648514691a7c2e2d7a024491c0c2dae7bb71ef739524fcc8ed35",
     "table3-window": "702610caaab4f187edf82d17e948adc39baeaed6171db17af73b5dd86eefc717",
     "table3-json": "6e495bafc757ef088ac33f4d12e0f15608765f6f1fbbe9852c33b89e886b7c96",
+    "table3-census": "737fe3716c67930391f2e560d64f3e4315bf884e503624043ae85c340ab0bb5a",
     "table4": "dcdbfce3188b0fd1db786226e1474d0a06f6ec5e815a11a67e0897b0349afe1e",
     "table4-digits": "a3004c299871c5c8a3a99b2f97f21b3586251cff04f631e079eb070a6fd9f5ee",
     "table4-records": "4e8703cb28e20717994462cac684f2f9b2c2ba57652b195941e68f1793717fd5",
@@ -66,6 +69,7 @@ DIGESTS = {
     "cycles": "c10a8e5e90a7fa6f7f9faa9a92706614fba2bba7f3b80a3aac74be9154ea6f7c",
     "cycles-alpha": "3a15375aa48d2663459e2e0980a896739d3ae2044ba5f821bd5647c9eb923b7e",
     "cycles-json": "f76bd4142de72eee849e5a041a62243755b5e562c3d1f6e5b6ef0c3931fa43f6",
+    "cycles-20": "f00ef8cbe1fd640e9943fb435de3eab1619f41b22136b5067489b13e23b7d86b",
     "bounds": "5fcdd10d9497ed81413a32ff54ad29a32c11cd31f69be8dedfea37865eac5018",
     "bounds-args": "8447ebf4bba64797b99777073a0f9330a72bb4afc283d1f01993195b451a9418",
     "bounds-json": "55375a1921f90b1045b8bc405b9eb44ce8111e9e72744073e71b587024d5726d",

@@ -366,6 +366,10 @@ def test_cli_verify_table4_ratio_above_log3_2(tmp_path, capsys):
 
 _T4_485 = "485,306,0.629628867481619,0.630927835051546,0.630929753571457,-5.71703368918797\n"
 _T4_1539 = "1539,971,0.630519792717935,0.630929174788824,0.630929753571457,-6.23748450843968\n"
+_SCAN_2_7 = ("n,class,s,r,q,value,capped\n2,3i+2,1,0,0,1,0\n3,12i+3,4,2,1100,2,0\n"
+             "4,3i+1,1,0,0,2,0\n5,12i+5,2,1,10,4,0\n6,3i,1,0,0,3,0\n7,12i+7,7,4,1110100,5,0\n")
+_FIG3_7 = "7,7,4,0.632812500000000,0.570312500000000,0.148437500000000,3.84210526315789,0.714285714285714\n"
+_FIG3_19 = "19,4,2,0.562500000000000,0.312500000000000,0.0625000000000000,5.00000000000000,0.578947368421053\n"
 
 
 @pytest.mark.parametrize("text,line,reason", [
@@ -409,11 +413,17 @@ _T4_1539 = "1539,971,0.630519792717935,0.630929174788824,0.630929753571457,-6.23
      "record at s = 10000001 exceeds the cap 10000000"),
     ("r,s,alpha,pow_ratio,m1_upper,m1_lower,lower_positive\n100001,158497,40,0,0,0,0\n", 2,
      "bound at r = 100001 exceeds the cap 100000"),
+    (_SCAN_2_7 + "7,12i+7,7,4,1110100,5,0\n", 8, "7 does not follow 7: n must rise"),
+    ("m,s,r,pow_ratio,sigma,lower_unit,alpha_ratio,F_over_m\n" + _FIG3_19 + _FIG3_7, 3,
+     "7 does not follow 19: n must rise"),
+    # chunks of 3 from 2: a resume that appended its last chunk, 5..7, twice
+    (_SCAN_2_7 + _SCAN_2_7.split("\n", 4)[4], 8, "5 does not follow 7: n must rise"),
 ], ids=["scan-n-below-2", "scan-zero-steps", "table2-class-12i+4", "fig2-even-n", "table3-wrong-length",
         "traj-past-1", "cycles-negative-alpha", "bounds-zero-alpha", "table1-negative-i",
         "table3-past-census-cap", "cycles-m1-not-integer", "cycles-first-bit-0",
         "cycles-past-cap", "table4-below-window", "table4-rows-swapped", "table4-row-repeated",
-        "table4-gap-not-falling", "table4-past-cap", "bounds-past-cap"])
+        "table4-gap-not-falling", "table4-past-cap", "bounds-past-cap", "scan-row-repeated",
+        "fig3-rows-swapped", "scan-last-chunk-twice"])
 def test_cli_verify_refuses_unproducible_row(tmp_path, capsys, text, line, reason):
     path = tmp_path / "r.csv"
     path.write_text(text)

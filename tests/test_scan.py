@@ -122,7 +122,7 @@ def test_alpha_violation_reporting():
     scan_mod.ALPHA = 4
     try:
         _, stats = scan_collect(ScanConfig(start=3, end=3))
-        assert stats.violations == [(3, "alpha")]
+        assert stats.violations == [3]
     finally:
         scan_mod.ALPHA = old
 
