@@ -13,15 +13,15 @@ from .bounds import (CycleCandidate, RatioFlags, RatioRecord,
                      enumerate_cycle_candidates, log3_2, matveev_constant,
                      matveev_constant_value, matveev_log10_gap_bound,
                      ratio_records, stopping_number_bounds, unique_s_for_r)
-from .core import (DEFAULT_STEP_CAP, StoppingRecord, is_parity_prefix,
+from .core import (DEFAULT_STEP_CAP, CappedWalk, StoppingRecord, is_parity_prefix,
                    shortcut_step, stopping_record, trajectory)
 from .errors import (CheckpointError, CollatzStopError, CycleDetectedError,
                      DomainError, LimitError, ParseError, StepLimitError)
 from .residues import (ClassLabel, ResidueFamily, class_transition, classify,
                        enumerate_minimal, family_member, table2_rows,
                        two_step_reduce)
-from .scan import (CappedWalk, ScanConfig, ScanStats, checkpoint_resume,
-                   checkpoint_save, empirical_alpha, scan_collect, scan_range)
+from .scan import (ScanConfig, ScanStats, checkpoint_resume, checkpoint_save,
+                   empirical_alpha, scan_collect, scan_range)
 from .sequences import (ExactOutcome, ParitySequence, apply_closed_form,
                         lower_unit_numerator, parse_sequence, sigma,
                         weighted_sum)

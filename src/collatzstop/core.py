@@ -1,4 +1,10 @@
-"""The halved Collatz map and stopping-time walks with exact integers."""
+"""The halved Collatz map and stopping-time walks with exact integers.
+
+`walk` is the one loop that walks to descent.  Its rows become records in
+one place, `_record`, which builds both the StoppingRecord of a walk that
+descended and the CappedWalk of one that hit its step cap; scans and
+`stopping_record` alike go through it.
+"""
 
 from __future__ import annotations
 
@@ -25,6 +31,28 @@ class StoppingRecord:
     r: int
     q: ParitySequence
     value: int
+
+
+@dataclass(frozen=True)
+class CappedWalk:
+    """A row whose walk hit the step cap before descending."""
+
+    n: int
+    steps: int
+    r: int
+    q_prefix: ParitySequence
+    last_value: int
+
+
+def _record(n: int, s: int, r: int, w: int, word: int, value: int,
+            capped: bool) -> StoppingRecord | CappedWalk:
+    """The record of one kernel row: n, then the tuple walk returns.
+
+    The only place a StoppingRecord or a CappedWalk is built; w is unused,
+    as neither record keeps it.
+    """
+    return (CappedWalk if capped else StoppingRecord)(
+        n, s, r, ParitySequence(word_bits(word, s)), value)
 
 
 def shortcut_step(n: int) -> tuple[int, int]:
@@ -74,9 +102,7 @@ def descend(n: int, step_cap: int) -> tuple[int, int, int, int, int]:
         raise DomainError(f"step_cap must be >= 1, got {step_cap}")
     s, r, w, word, v, capped = walk(n, step_cap)
     if capped:
-        u = n
-        for step in range(1, s + 1):
-            u, _ = shortcut_step(u)
+        for step, (u, _) in enumerate(islice(_iterates(n), s), 1):
             if u == n:
                 raise CycleDetectedError(f"{n} returned to itself after {step} steps")
         raise StepLimitError(n, s, r, word_bits(word, s), v)
@@ -91,9 +117,7 @@ def stopping_record(n: int, step_cap: int = DEFAULT_STEP_CAP) -> StoppingRecord:
     """
     if n < 2:
         raise DomainError(f"stopping is defined for n >= 2, got {n}")
-    s, r, _, word, value = descend(n, step_cap)
-    q = ParitySequence(word_bits(word, s))
-    return StoppingRecord(n=n, s=s, r=r, q=q, value=value)
+    return _record(n, *descend(n, step_cap), False)
 
 
 def is_parity_prefix(q: ParitySequence, n: int) -> bool:

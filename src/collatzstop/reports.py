@@ -418,12 +418,14 @@ def verify_csv(path: str) -> int:
     bounds.ratio_record for table4), under the producer's constants
     (residues.Q_CAP, CENSUS_CAP; bounds.CYCLE_CAP, RECORD_S_CAP,
     BOUND_R_CAP), each length cap checked before the row's arithmetic
-    starts.  Three rules span rows, each checked after the row's own
+    starts.  Four rules span rows, each checked after the row's own
     re-derivation: traj rows must follow the walk from the first row's n,
     step 1, 2, 3, ..., and may not go past the point where it reaches 1 (a
     traj file that stops early still verifies, since `traj --limit` writes
     one); each table4 row after the first must follow the row before it by
-    bounds.gap_falls; and scan, fig2 and fig3 rows must rise strictly in n.
+    bounds.gap_falls; fig2 and fig3 rows must rise strictly in n; and each
+    scan row must follow the one before it by the scan's one step
+    (scan.row_order).
     Whether a table4 row is a record from the producing `--s-min` on is
     not checked: any row inside the descent window can open a file.  The
     other reports are checked row by row, so a repeated row still verifies.
@@ -453,8 +455,11 @@ def verify_csv(path: str) -> int:
         return ordered((s, r), _table4_row(bnd.ratio_record(s, r)), bnd.gap_falls,
                        "s must rise and the gap must fall")
 
-    def scan_line(kind: str, n: int, s: int) -> str:
-        return ordered(n, _scan_kind_line(kind, n, s), int.__lt__, "n must rise")
+    scan_step = scn.row_order()
+
+    def scan_line(kind: str, n: int, s: int, follows: Callable = int.__lt__,
+                  rule: str = "n must rise") -> str:
+        return ordered(n, _scan_kind_line(kind, n, s), follows, rule)
 
     rederive = {  # header -> key cells -> expected row, or line for the scan kinds
         _TABLE1_HEADER: lambda c: _table1_row(int(c[0])),
@@ -464,7 +469,8 @@ def verify_csv(path: str) -> int:
         _TABLE4_HEADER: table4_row,
         _CYCLES_HEADER: lambda c: _cycles_row(bnd.fixed_point(parse_sequence(c[2])), Fraction(c[6])),
         _BOUNDS_HEADER: lambda c: _bounds_row(int(c[0]), Fraction(c[2])),
-        _SCAN_HEADER: lambda c: scan_line("scan", int(c[0]), int(c[2])),
+        _SCAN_HEADER: lambda c: scan_line("scan", int(c[0]), int(c[2]), scan_step,
+                                          "n must rise by the scan's one step"),
         _FIG2_HEADER: lambda c: scan_line("fig2", int(c[0]), int(c[1])),
         _FIG3_HEADER: lambda c: scan_line("fig3", int(c[0]), int(c[1])),
         _STOP_HEADER: lambda c: _stop_row(int(c[0]), DEFAULT_STEP_CAP),

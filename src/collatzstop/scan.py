@@ -8,6 +8,8 @@ scan resume and produce byte-identical remaining output.  Each ledger
 line holds its chunk's own stats, so a resume rebuilds the scan's stats
 with the same merge a live scan makes, and a running SHA-256 of the output
 and the ledger so far, which a resume checks before it trusts the line.
+Workers return raw kernel rows; `scan_range` turns each into its record
+with `core._record`, the one builder `stopping_record` uses too.
 """
 
 from __future__ import annotations
@@ -20,13 +22,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
-from .core import StoppingRecord, walk as _scan_one  # walks every scanned and verified row
+from .core import CappedWalk, StoppingRecord, _record, walk as _scan_one  # walks every scanned and verified row
 from .errors import CheckpointError, DomainError
 from .bounds import ALPHA  # the envelope checked during scans; tests patch scan.ALPHA
-from .sequences import ParitySequence, lower_unit_numerator, weighted_sum, word_bits
+from .sequences import lower_unit_numerator, weighted_sum
 
-CLASS_FILTERS = ("all", "12i+3", "12i+7", "12i+11")
 _RESIDUE = {"all": None, "12i+3": 3, "12i+7": 7, "12i+11": 11}
+CLASS_FILTERS = tuple(_RESIDUE)
 
 CHECKPOINT_MAGIC = "collatzstop-scan"
 CHECKPOINT_VERSION = 3
@@ -89,22 +91,29 @@ class ScanStats:
         self.violations.extend(chunk.violations)
 
 
-@dataclass(frozen=True)
-class CappedWalk:
-    """A row whose walk hit the step cap before descending."""
-
-    n: int
-    steps: int
-    r: int
-    q_prefix: ParitySequence
-    last_value: int
-
-
 def _chunk_starts(lo: int, hi: int, residue: int | None) -> range:
     if residue is None:
         return range(lo, hi + 1)
     first = lo + (residue - lo) % 12
     return range(first, hi + 1, 12)
+
+
+def row_order() -> Callable[[int, int], bool]:
+    """A fresh follows(last, n) for the n of one scan file's rows, in order.
+
+    Each n must be the last plus the scan's one step, as _chunk_starts
+    emits them: 1 for "all", or 12 within one of the hard classes.  The
+    first two rows fix the step.  No file shows where its range began or
+    ended, so a file holding only a scan's first or last rows still passes.
+    """
+    steps = []
+
+    def follows(last: int, n: int) -> bool:
+        if steps:
+            return n - last == steps[0]
+        steps.append(n - last)
+        return n - last == 1 or (n - last == 12 and last % 12 in _RESIDUE.values())
+    return follows
 
 
 def _chunk_worker(args: tuple) -> tuple[list, ScanStats]:
@@ -142,14 +151,6 @@ def _chunk_results(cfg: ScanConfig, chunks: list[tuple[int, int]]) -> Iterator[t
         yield from pool.imap(_chunk_worker, args, chunksize=1)
 
 
-def _row_to_record(row: tuple) -> StoppingRecord | CappedWalk:
-    n, s, r, _, word, v, capped = row
-    q = ParitySequence(word_bits(word, s))
-    if capped:
-        return CappedWalk(n=n, steps=s, r=r, q_prefix=q, last_value=v)
-    return StoppingRecord(n=n, s=s, r=r, q=q, value=v)
-
-
 def scan_range(cfg: ScanConfig, stats: ScanStats | None = None) -> Iterator[StoppingRecord | CappedWalk]:
     """Stream records for every in-filter n in [start, end], ascending.
 
@@ -161,7 +162,7 @@ def scan_range(cfg: ScanConfig, stats: ScanStats | None = None) -> Iterator[Stop
         if stats is not None:
             stats._merge(chunk_stats)
         for row in rows:
-            yield _row_to_record(row)
+            yield _record(*row)
 
 
 def scan_collect(cfg: ScanConfig) -> tuple[list[StoppingRecord | CappedWalk], ScanStats]:

@@ -112,7 +112,7 @@ def test_trivial_cycle_member_is_detected():
     from collatzstop import CycleDetectedError
     from collatzstop.core import descend
 
-    with pytest.raises(CycleDetectedError):
+    with pytest.raises(CycleDetectedError, match="1 returned to itself after 2 steps"):
         descend(1, 100)
 
 

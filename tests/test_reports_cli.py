@@ -149,6 +149,8 @@ def test_verify_roundtrip(tmp_path, build):
     ("scan", dict(start=25, end=40, step_cap=5)),
     ("fig2", dict(start=3, end=500)),
     ("fig3", dict(start=7, end=2000, class_filter="12i+7")),
+    ("scan", dict(start=2, end=500, class_filter="12i+3")),
+    ("scan", dict(start=2, end=500, class_filter="12i+11")),
 ])
 def test_verify_scan_roundtrip(tmp_path, kind, cfg):
     path = tmp_path / f"{kind}.csv"
@@ -548,6 +550,27 @@ def test_cli_scan_and_verify(tmp_path, capsys):
     assert "rows=999" in summary and "complete=1" in summary
     assert main(["verify", str(out)]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("args,cut,line", [
+    (["--start", "2", "--end", "30"], range(10, 21), 10),
+    (["--start", "2", "--end", "200", "--class", "12i+7"], [5], 5),
+], ids=["all-lines-10-20", "12i+7-one-row"])
+def test_cli_verify_refuses_a_scan_with_rows_cut_out(tmp_path, capsys, args, cut, line):
+    out, gap = tmp_path / "s.csv", tmp_path / "gap.csv"
+    assert main(["scan", *args, "--out", str(out)]) == 0
+    lines = out.read_text().splitlines(keepends=True)
+    gap.write_text("".join(ln for i, ln in enumerate(lines, 1) if i not in cut))
+    capsys.readouterr()
+    assert main(["verify", str(gap)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {gap}:{line}: ")
+    assert "n must rise by the scan's one step" in err
+    # a file of a scan's last rows cannot show where the range began
+    last = tmp_path / "last.csv"
+    last.write_text(lines[0] + "".join(lines[-5:]))
+    assert main(["verify", str(last)]) == 0
+    assert capsys.readouterr().out == "verified 5 rows\n"
 
 
 def test_cli_fig2_defaults_overridable(tmp_path, capsys):

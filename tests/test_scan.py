@@ -3,11 +3,13 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from collatzstop import (
     CappedWalk, CheckpointError, DomainError, ScanConfig, ScanStats,
-    StoppingRecord, checkpoint_resume, empirical_alpha, scan_collect,
-    scan_range, stopping_record,
+    StepLimitError, StoppingRecord, checkpoint_resume, empirical_alpha,
+    scan_collect, scan_range, stopping_record,
 )
 import collatzstop.scan as scan_mod
 from collatzstop.cli import main
@@ -111,6 +113,37 @@ def test_capped_rows_are_flagged_not_dropped():
             assert rec.steps == 5 and rec.last_value >= rec.n
         else:
             assert rec.value < rec.n
+
+
+@given(st.integers(min_value=2, max_value=10 ** 12))
+def test_scan_record_is_the_stopping_record(n):
+    assert list(scan_range(ScanConfig(start=n, end=n))) == [stopping_record(n)]
+
+
+@pytest.mark.parametrize("cap", range(1, 11))
+def test_capped_walk_is_the_step_limit_error(cap):
+    capped = 0
+    for rec in scan_range(ScanConfig(start=2, end=100, step_cap=cap)):
+        if isinstance(rec, StoppingRecord):
+            assert rec == stopping_record(rec.n, cap)
+            continue
+        capped += 1
+        with pytest.raises(StepLimitError) as info:
+            stopping_record(rec.n, cap)
+        err = info.value
+        assert (err.start, err.steps, err.odd_steps, err.word, err.value) == (
+            rec.n, rec.steps, rec.r, rec.q_prefix.bits, rec.last_value)
+    assert capped > 0
+
+
+def test_row_order_fixes_one_step():
+    for rows in ([2, 3, 4, 5], [3, 15, 27], [7, 19], [11, 23, 35], [9]):
+        follows = scan_mod.row_order()
+        assert all(map(follows, rows, rows[1:]))
+    for rows in ([2, 3, 5], [3, 15, 16], [5, 17], [3, 4, 16], [7, 7], [7, 31], [8, 7]):
+        follows = scan_mod.row_order()
+        assert not all(map(follows, rows, rows[1:]))
+    assert scan_mod.CLASS_FILTERS == ("all", "12i+3", "12i+7", "12i+11")
 
 
 def test_alpha_violation_reporting():
