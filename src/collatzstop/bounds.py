@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from .errors import DomainError, LimitError
+from .errors import DomainError, check_cap
 from .sequences import ParitySequence, lower_unit_numerator, weighted_sum, word_bits
 
 DIGITS = 50  # the working precision: every decimal result has this many significant digits
@@ -153,27 +153,15 @@ def cycle_candidate(q: ParitySequence) -> CycleCandidate:
                           is_integer=m1.denominator == 1)
 
 
-def check_cycle_length(s: int) -> None:
-    """Refuse a cycle search past length CYCLE_CAP."""
-    if s > CYCLE_CAP:
-        raise LimitError(f"cycle search to length {s} exceeds the cap {CYCLE_CAP}")
-
-
 def fixed_point(q: ParitySequence) -> CycleCandidate:
     """The candidate of q, a word the cycle search writes: no longer than
     CYCLE_CAP, starting with an odd step, with an integer m1 >= 1.  Any other
     word is refused.  The search and `verify` both take a cycles row by it."""
-    check_cycle_length(q.s)
+    check_cap("cycle search to length", q.s, CYCLE_CAP)
     cand = cycle_candidate(q)
     if q.bits[0] != "1" or not cand.is_integer or cand.m1 < 1:
         raise DomainError(f"word {q.bits} does not start with 1 or has no integer m1 >= 1")
     return cand
-
-
-def check_bound_r(r: int) -> None:
-    """Refuse a bound row past r = BOUND_R_CAP."""
-    if r > BOUND_R_CAP:
-        raise LimitError(f"bound at r = {r} exceeds the cap {BOUND_R_CAP}")
 
 
 def enumerate_cycle_candidates(s_max: int) -> list[CycleCandidate]:
@@ -189,7 +177,7 @@ def enumerate_cycle_candidates(s_max: int) -> list[CycleCandidate]:
     """
     if s_max < 1:
         raise DomainError(f"s_max must be >= 1, got {s_max}")
-    check_cycle_length(s_max)
+    check_cap("cycle search to length", s_max, CYCLE_CAP)
     pow3 = [3 ** i for i in range(s_max + 2)]
     top = 1 << s_max
     found: list[CycleCandidate] = []
@@ -281,17 +269,11 @@ def stopping_number_bounds(m: int, r: int, s: int,
     return base + unit, base + alpha * unit
 
 
-def check_record_s(s: int) -> None:
-    """Refuse a record past s = RECORD_S_CAP."""
-    if s > RECORD_S_CAP:
-        raise LimitError(f"record at s = {s} exceeds the cap {RECORD_S_CAP}")
-
-
 def ratio_record(s: int, r: int) -> RatioRecord:
     """The record of (s, r) with its cells at DIGITS.  A pair past
     RECORD_S_CAP or outside the descent window is refused, whichever half
     it fails."""
-    check_record_s(s)
+    check_cap("record at s =", s, RECORD_S_CAP)
     lower, upper = _window(s, r)
     if not upper:
         raise DomainError(f"r/s = {r}/{s} is not below log3(2)")
@@ -327,7 +309,7 @@ def ratio_records(s_min: int, s_max: int) -> list[RatioRecord]:
         raise DomainError(f"s_min must be >= 2, got {s_min}")
     if s_max < s_min:
         raise DomainError(f"s_max must be >= s_min, got {s_max} < {s_min}")
-    check_record_s(s_max)
+    check_cap("record at s =", s_max, RECORD_S_CAP)
 
     scale = 10 ** DIGITS
     scaled = int(_rounded(lambda: log3_2().scaleb(DIGITS)))

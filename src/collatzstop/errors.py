@@ -17,6 +17,12 @@ class LimitError(CollatzStopError, RuntimeError):
     """A configured search or step cap was exceeded."""
 
 
+def check_cap(what: str, value: int, cap: int) -> None:
+    """Refuse a value past its cap: `what` names it, as in "census of length"."""
+    if value > cap:
+        raise LimitError(f"{what} {value} exceeds the cap {cap}")
+
+
 class StepLimitError(LimitError):
     """A walk hit its step cap before descending.
 

@@ -16,9 +16,10 @@ cell is an int.  Rendering rules, fixed so repeated runs are byte-identical:
     word, through a bounded cache;
   * fields never need quoting, the separator is a comma, newline is LF.
 
-Every CSV row is self-contained, so `verify` can re-derive each row from
-its own key columns with the same row function, render it with the same
-`csv_line`, and fail on any byte difference.
+`verify` re-derives each row with the same row function, renders it with
+the same `csv_line` or scan formatter, and fails on any byte difference: a
+row of most reports from its own key columns, a scan, fig2 or fig3 file by
+replaying the one run its rows imply.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from . import scan as scn
 # perfbench/tracing.py wraps that name when it times a run
 from .core import (DEFAULT_STEP_CAP, _iterates, descend, is_parity_prefix,  # noqa: F401
                    stopping_record, trajectory)
-from .errors import DomainError, LimitError
+from .errors import DomainError, LimitError, check_cap
 from .sequences import (ParitySequence, apply_closed_form, lower_unit_numerator,
                         parse_sequence, sigma, weighted_sum, word_bits)
 
@@ -241,7 +242,7 @@ _BOUNDS_HEADER = "r,s,alpha,pow_ratio,m1_upper,m1_lower,lower_positive"
 
 
 def _bounds_row(r: int, alpha: Fraction) -> Row:
-    bnd.check_bound_r(r)
+    check_cap("bound at r =", r, bnd.BOUND_R_CAP)
     s = bnd.unique_s_for_r(r)
     upper = bnd.cycle_upper_bound(r, s, alpha)
     lower = bnd.cycle_lower_bound(r, s)
@@ -258,7 +259,7 @@ def bounds_report(r_max: int, alpha: Fraction | int = bnd.ALPHA) -> Report:
     """
     if r_max < 1:
         raise DomainError(f"r must be >= 1, got {r_max}")
-    bnd.check_bound_r(r_max)
+    check_cap("bound at r =", r_max, bnd.BOUND_R_CAP)
     alpha = bnd.envelope_alpha(alpha)
     return Report(_BOUNDS_HEADER, (_bounds_row(r, alpha) for r in range(1, r_max + 1)))
 
@@ -390,21 +391,71 @@ class VerifyError(DomainError):
     """A CSV row does not match its re-derivation."""
 
 
-def _walk_row(n: int, s: int) -> tuple:
-    """Re-derive a raw scan row with one walk capped at the recorded length:
-    it stops there exactly when the row did, and is capped there otherwise."""
-    return (n, *scn._scan_one(n, s))
+def _walk_row(n: int, cap: int) -> tuple:
+    """The raw scan row of n, re-derived by the producer's walk under the cap."""
+    return (n, *scn._scan_one(n, cap))
 
 
-def _scan_kind_line(kind: str, n: int, s: int) -> str:
-    if n < 2:
-        raise DomainError(f"no scan starts below 2, got {n}")
-    if s < 1:
-        raise DomainError(f"no scan walk takes fewer than 1 step, got s = {s}")
-    line = _SCAN_KINDS[kind][1](_walk_row(n, s))
-    if line is None:
-        raise DomainError(f"row for {n} should not appear in {kind}")
-    return line
+_KIND_OF = {header: kind for kind, (header, _) in _SCAN_KINDS.items()}
+_ONE_CLASS = {1 << k: k for k in scn._RESIDUE.values() if k is not None}  # n % 12 bits -> class
+
+
+def _replayed(kind: str, path: str) -> Callable[[str], str]:
+    """got -> the line that the one run a scan-kind file implies writes in
+    got's place, each call the next line.
+
+    Pass 1 reads each row's n and s, up to the first row that fails its own
+    checks: n >= 2, s >= 1 and n rising.  The run the rows before it imply
+    spans the first n to the last, in the one hard class every row lies in,
+    or all, capped at the longest walk: that cap re-derives every row and
+    every n a run leaves out for its cap.  The calls replay that run by the
+    producer's enumeration, walk and formatter, and parse got only when it
+    differs.  Once the run is out, the next line is the row pass 1 stopped
+    at, and its fault is raised.
+    """
+    col = 2 if kind == "scan" else 1  # the s cell
+    first, last, cap, seen, fault = None, 1, 0, 0, None
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
+        next(fh)
+        try:
+            for line in fh:
+                c = line.split(",", col + 1)
+                n, s = int(c[0]), int(c[col])
+                if n < 2:
+                    raise DomainError(f"no scan starts below 2, got {n}")
+                if s < 1:
+                    raise DomainError(f"no scan walk takes fewer than 1 step, got s = {s}")
+                if n <= last:
+                    raise DomainError(f"{n} does not follow {last}: n must rise")
+                first, last, seen = first or n, n, seen | 1 << n % 12
+                if s > cap:
+                    cap = s
+        except (ValueError, IndexError) as exc:
+            fault = exc
+
+    def run() -> Iterator[tuple[int, str]]:
+        formatter, line = _SCAN_KINDS[kind][1], ""
+        for m in scn._chunk_starts(first or 2, last, _ONE_CLASS.get(seen)):
+            line = formatter(_walk_row(m, cap))
+            if line is not None:
+                yield m, line
+            elif m == first:  # the first row is refused, so walk no further
+                return
+        if line is not None and fault:  # the run wrote the last row: the fault is next
+            raise fault
+
+    rows = run()
+
+    def line_for(got: str) -> str:
+        m, want = next(rows, (None, None))
+        if got != want:
+            n = int(got.split(",", 1)[0])
+            if m is None or m > n:
+                raise DomainError(f"row for {n} should not appear in {kind}")
+            if m < n:
+                raise DomainError(f"{n} leaves out {m}: n must rise by the scan's one step")
+        return want
+    return line_for
 
 
 def verify_csv(path: str) -> int:
@@ -413,25 +464,24 @@ def verify_csv(path: str) -> int:
     Streams the file and returns the number of verified rows; raises
     VerifyError naming the file and line on the first row that does not
     parse or whose line differs from the re-derived row's `csv_line`.  Each
-    row is re-derived from its own key cells by the rule its producer uses
-    (residues.census_word for table3, bounds.fixed_point for cycles,
-    bounds.ratio_record for table4), under the producer's constants
-    (residues.Q_CAP, CENSUS_CAP; bounds.CYCLE_CAP, RECORD_S_CAP,
-    BOUND_R_CAP), each length cap checked before the row's arithmetic
-    starts.  Four rules span rows, each checked after the row's own
-    re-derivation: traj rows must follow the walk from the first row's n,
-    step 1, 2, 3, ..., and may not go past the point where it reaches 1 (a
-    traj file that stops early still verifies, since `traj --limit` writes
-    one); each table4 row after the first must follow the row before it by
-    bounds.gap_falls; fig2 and fig3 rows must rise strictly in n; and each
-    scan row must follow the one before it by the scan's one step
-    (scan.row_order).
+    row of the other reports is re-derived from its own key cells by the
+    rule its producer uses (residues.census_word for table3,
+    bounds.fixed_point for cycles, bounds.ratio_record for table4), under
+    the producer's constants (residues.Q_CAP, CENSUS_CAP; bounds.CYCLE_CAP,
+    RECORD_S_CAP, BOUND_R_CAP), each length cap checked before the row's
+    arithmetic starts.  Three rules span rows: traj rows must follow the
+    walk from the first row's n, step 1, 2, 3, ..., and may not go past the
+    point where it reaches 1 (a traj file that stops early still verifies,
+    since `traj --limit` writes one); each table4 row after the first must
+    follow the row before it by bounds.gap_falls; and a scan, fig2 or fig3
+    file must be exactly what one run writes for the range, class and cap
+    its rows imply (`_replayed`).
     Whether a table4 row is a record from the producing `--s-min` on is
     not checked: any row inside the descent window can open a file.  The
     other reports are checked row by row, so a repeated row still verifies.
     """
     traj_walk: Iterator[Row] | None = None  # traj only: the rows still expected
-    last_key = None  # table4 and the scan kinds: the last row's key
+    last_pair = (1, 0)  # table4 only: the last row's (s, r); ratio_records starts from (1, 0)
 
     def traj_row(c: list[str]) -> Row:
         nonlocal traj_walk
@@ -443,25 +493,15 @@ def verify_csv(path: str) -> int:
             raise DomainError(f"the walk from {c[0]} has already reached 1")
         return want
 
-    def ordered(key, want: Row | str, follows: Callable, rule: str) -> Row | str:
-        nonlocal last_key  # want is re-derived first, so its own faults show first
-        last, last_key = last_key, key
-        if last is not None and not follows(last, key):
-            raise DomainError(f"{key} does not follow {last}: {rule}")
+    def table4_row(c: list[str]) -> Row:
+        nonlocal last_pair
+        last, last_pair = last_pair, (int(c[0]), int(c[1]))
+        want = _table4_row(bnd.ratio_record(*last_pair))  # its own faults show first
+        if not bnd.gap_falls(last, last_pair):
+            raise DomainError(f"{last_pair} does not follow {last}: s must rise and the gap must fall")
         return want
 
-    def table4_row(c: list[str]) -> Row:
-        s, r = int(c[0]), int(c[1])
-        return ordered((s, r), _table4_row(bnd.ratio_record(s, r)), bnd.gap_falls,
-                       "s must rise and the gap must fall")
-
-    scan_step = scn.row_order()
-
-    def scan_line(kind: str, n: int, s: int, follows: Callable = int.__lt__,
-                  rule: str = "n must rise") -> str:
-        return ordered(n, _scan_kind_line(kind, n, s), follows, rule)
-
-    rederive = {  # header -> key cells -> expected row, or line for the scan kinds
+    rederive = {  # header -> key cells -> expected row
         _TABLE1_HEADER: lambda c: _table1_row(int(c[0])),
         _TABLE2_HEADER: lambda c: _table2_row(res.table2_row(int(c[0]))),
         _TABLE3_HEADER: lambda c: _table3_row(int(c[0]), int(c[7]),
@@ -469,10 +509,6 @@ def verify_csv(path: str) -> int:
         _TABLE4_HEADER: table4_row,
         _CYCLES_HEADER: lambda c: _cycles_row(bnd.fixed_point(parse_sequence(c[2])), Fraction(c[6])),
         _BOUNDS_HEADER: lambda c: _bounds_row(int(c[0]), Fraction(c[2])),
-        _SCAN_HEADER: lambda c: scan_line("scan", int(c[0]), int(c[2]), scan_step,
-                                          "n must rise by the scan's one step"),
-        _FIG2_HEADER: lambda c: scan_line("fig2", int(c[0]), int(c[1])),
-        _FIG3_HEADER: lambda c: scan_line("fig3", int(c[0]), int(c[1])),
         _STOP_HEADER: lambda c: _stop_row(int(c[0]), DEFAULT_STEP_CAP),
         _TRAJ_HEADER: traj_row,
         _SEQ_HEADER: lambda c: _seq_row(c[0], None),
@@ -484,19 +520,18 @@ def verify_csv(path: str) -> int:
         if not header:
             raise VerifyError(f"{path}: empty file")
         header = header.rstrip("\n")
-        row_of = rederive.get(header)
-        if row_of is None:
+        kind, rule = _KIND_OF.get(header), rederive.get(header)
+        if kind is None and rule is None:
             raise VerifyError(f"{path}: unrecognized header {header!r}")
+        row_of = _replayed(kind, path) if kind else lambda got: csv_line(rule(got.split(",")))
         count = 0
         for line_no, line in enumerate(fh, 2):
             got = line.rstrip("\n")
             try:
-                want = row_of(got.split(","))
+                want = row_of(got)
             except (ValueError, IndexError, ArithmeticError, LimitError) as exc:
                 raise VerifyError(f"{path}:{line_no}: cannot re-derive row {got!r}: "
                                   f"{exc}") from None
-            if not isinstance(want, str):
-                want = csv_line(want)
             if got != want:
                 raise VerifyError(f"{path}:{line_no}: row {got!r} does not re-derive; "
                                   f"expected {want!r}")

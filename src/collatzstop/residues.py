@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .core import DEFAULT_STEP_CAP, descend, walk
-from .errors import DomainError, LimitError
+from .errors import DomainError, check_cap
 from .sequences import ParitySequence, word_bits
 
 CENSUS_CAP = 24  # a census of length s walks 2^(s-2) residues
@@ -82,12 +82,6 @@ def family_member(fam: ResidueFamily, j: int) -> int:
     return (1 << fam.s) * (3 * j + fam.k) + fam.m
 
 
-def check_census_length(s: int) -> None:
-    """Refuse a census past length CENSUS_CAP."""
-    if s > CENSUS_CAP:
-        raise LimitError(f"census of length {s} exceeds the cap {CENSUS_CAP}")
-
-
 def _minimal_word(m: int, s: int) -> ParitySequence | None:
     """m's stopping word when m stops in exactly s steps, else None: one
     walk capped at s, which stops there exactly when m does."""
@@ -107,7 +101,7 @@ def enumerate_minimal(s: int) -> list[tuple[int, ParitySequence]]:
     """
     if s < 1:
         raise DomainError(f"s must be >= 1, got {s}")
-    check_census_length(s)
+    check_cap("census of length", s, CENSUS_CAP)
     return [(m, q) for m in range(3, 1 << s, 4) if (q := _minimal_word(m, s)) is not None]
 
 
@@ -117,7 +111,7 @@ def census(s_min: int, s_max: int) -> Iterator[tuple[int, int, ParitySequence]]:
     here, before any census runs."""
     if s_min < 1 or s_max < s_min:
         raise DomainError(f"need 1 <= s_min <= s_max, got ({s_min}, {s_max})")
-    check_census_length(s_max)
+    check_cap("census of length", s_max, CENSUS_CAP)
     # sorting is stable, so m stays ascending within each class
     return ((s, m, q) for s in range(s_min, s_max + 1)
             for m, q in sorted(enumerate_minimal(s), key=lambda mq: mq[0] % 12))
@@ -127,7 +121,7 @@ def census_word(s: int, m: int) -> ParitySequence:
     """The word of the census row (s, m), refused unless the census of
     length s holds m: s past CENSUS_CAP, m not odd with 1 < m < 2^s, or m
     not stopping in exactly s steps.  `verify` checks a table3 row by it."""
-    check_census_length(s)
+    check_cap("census of length", s, CENSUS_CAP)
     if m % 2 == 0 or m < 3 or m.bit_length() > s:
         raise DomainError(f"m = {m} is not an odd residue with 1 < m < 2^{s}")
     if (q := _minimal_word(m, s)) is None:

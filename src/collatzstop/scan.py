@@ -9,7 +9,11 @@ line holds its chunk's own stats, so a resume rebuilds the scan's stats
 with the same merge a live scan makes, and a running SHA-256 of the output
 and the ledger so far, which a resume checks before it trusts the line.
 Workers return raw kernel rows; `scan_range` turns each into its record
-with `core._record`, the one builder `stopping_record` uses too.
+with `core._record`, the one builder `stopping_record` uses too.  Chunks
+are a range of their first n, so a scan builds no chunk before it runs it.
+`_chunk_starts` is the one rule for which n a scan walks: `verify` replays
+a scan, fig2 or fig3 file with it, so no other code decides which n such a
+file holds.
 """
 
 from __future__ import annotations
@@ -98,24 +102,6 @@ def _chunk_starts(lo: int, hi: int, residue: int | None) -> range:
     return range(first, hi + 1, 12)
 
 
-def row_order() -> Callable[[int, int], bool]:
-    """A fresh follows(last, n) for the n of one scan file's rows, in order.
-
-    Each n must be the last plus the scan's one step, as _chunk_starts
-    emits them: 1 for "all", or 12 within one of the hard classes.  The
-    first two rows fix the step.  No file shows where its range began or
-    ended, so a file holding only a scan's first or last rows still passes.
-    """
-    steps = []
-
-    def follows(last: int, n: int) -> bool:
-        if steps:
-            return n - last == steps[0]
-        steps.append(n - last)
-        return n - last == 1 or (n - last == 12 and last % 12 in _RESIDUE.values())
-    return follows
-
-
 def _chunk_worker(args: tuple) -> tuple[list, ScanStats]:
     lo, hi, residue, cap = args
     rows = []
@@ -133,21 +119,23 @@ def _chunk_worker(args: tuple) -> tuple[list, ScanStats]:
     return rows, ScanStats(len(rows), best_num, best_den, argmax, violations)
 
 
-def _chunks(cfg: ScanConfig) -> list[tuple[int, int]]:
-    return [(a, min(a + cfg.chunk_size - 1, cfg.end))
-            for a in range(cfg.start, cfg.end + 1, cfg.chunk_size)]
+def _chunks(cfg: ScanConfig) -> range:
+    """The first n of each chunk: a range, so no chunk is built before it runs."""
+    return range(cfg.start, cfg.end + 1, cfg.chunk_size)
 
 
-def _chunk_results(cfg: ScanConfig, chunks: list[tuple[int, int]]) -> Iterator[tuple[list, ScanStats]]:
+def _span(cfg: ScanConfig, lo: int) -> tuple[int, int]:
+    """The (lo, hi) of the chunk that starts at lo."""
+    return lo, min(lo + cfg.chunk_size - 1, cfg.end)
+
+
+def _chunk_results(cfg: ScanConfig, chunks: range) -> Iterator[tuple[list, ScanStats]]:
     """Results for the given chunks, in order, parallel when asked."""
-    residue = _RESIDUE[cfg.class_filter]
-    args = [(lo, hi, residue, cfg.step_cap) for lo, hi in chunks]
-    if cfg.workers == 1 or len(args) <= 1:
-        for a in args:
-            yield _chunk_worker(a)
+    args = ((*_span(cfg, lo), _RESIDUE[cfg.class_filter], cfg.step_cap) for lo in chunks)
+    if cfg.workers == 1 or len(chunks) <= 1:
+        yield from map(_chunk_worker, args)
         return
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(min(cfg.workers, len(args))) as pool:  # no idle workers
+    with multiprocessing.get_context("fork").Pool(min(cfg.workers, len(chunks))) as pool:  # no idle workers
         yield from pool.imap(_chunk_worker, args, chunksize=1)
 
 
@@ -168,8 +156,7 @@ def scan_range(cfg: ScanConfig, stats: ScanStats | None = None) -> Iterator[Stop
 def scan_collect(cfg: ScanConfig) -> tuple[list[StoppingRecord | CappedWalk], ScanStats]:
     """Eager scan_range, for ranges that comfortably fit in memory."""
     stats = ScanStats()
-    records = list(scan_range(cfg, stats))
-    return records, stats
+    return list(scan_range(cfg, stats)), stats
 
 
 def empirical_alpha(records: Iterable[StoppingRecord]) -> tuple[Fraction, int]:
@@ -294,7 +281,7 @@ def checkpoint_resume(cfg: ScanConfig, header: str, out_path: str) -> Checkpoint
         except ValueError:
             raise CheckpointError(f"checkpoint {path!r} has a corrupt ledger line: {ln!r}; "
                                   "delete it to start fresh") from None
-        if chunks[i:i + 1] != [(lo, hi)]:
+        if i >= len(chunks) or _span(cfg, chunks[i]) != (lo, hi):
             raise CheckpointError(
                 f"checkpoint {path!r} chunks do not align with this scan: line {i + 2} "
                 f"holds {lo}..{hi}; delete it to start fresh")
@@ -363,12 +350,10 @@ def run_scan(cfg: ScanConfig, out_path: str, header: str,
         head = (header + "\n").encode("ascii")
         out_bytes, digest = out.write(head), hashlib.sha256(head)
 
-    todo = chunks[done_chunks:]
-    if max_chunks is not None:
-        todo = todo[:max_chunks]
+    todo = chunks[done_chunks:][:max_chunks]
 
     try:
-        for (lo, hi), (rows, chunk_stats) in zip(todo, _chunk_results(cfg, todo)):
+        for lo, (rows, chunk_stats) in zip(todo, _chunk_results(cfg, todo)):
             lines = (format_row(row) for row in rows)
             payload = "".join(ln + "\n" for ln in lines if ln is not None).encode("ascii")
             out_bytes += out.write(payload)
@@ -378,7 +363,7 @@ def run_scan(cfg: ScanConfig, out_path: str, header: str,
             done_chunks += 1
             if cfg.checkpoint_path:
                 digest.update(payload)
-                checkpoint_save(cfg.checkpoint_path, cfg_hash, (lo, hi), chunk_stats,
+                checkpoint_save(cfg.checkpoint_path, cfg_hash, _span(cfg, lo), chunk_stats,
                                 out_bytes, digest)
     finally:
         out.close()

@@ -21,7 +21,7 @@ from collatzstop.reports import (
     table2_report, table3_report, table4_report, traj_report, verify_csv,
     write_csv, write_jsonl,
 )
-from collatzstop.scan import ScanConfig
+from collatzstop.scan import CLASS_FILTERS, ScanConfig
 from collatzstop.sequences import parse_sequence
 from fractions import Fraction
 
@@ -151,6 +151,8 @@ def test_verify_roundtrip(tmp_path, build):
     ("fig3", dict(start=7, end=2000, class_filter="12i+7")),
     ("scan", dict(start=2, end=500, class_filter="12i+3")),
     ("scan", dict(start=2, end=500, class_filter="12i+11")),
+    # its first rows, 23 and 35, both lie in 12i+11, and 43 in 12i+7
+    ("fig3", dict(start=20, end=400, step_cap=7)),
 ])
 def test_verify_scan_roundtrip(tmp_path, kind, cfg):
     path = tmp_path / f"{kind}.csv"
@@ -259,6 +261,35 @@ def test_verify_accepts_a_row_exactly_when_the_producer_writes_it(tmp_path_facto
     except VerifyError:
         verified = False
     assert verified == (line in rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["scan", "fig2", "fig3"]), cls=st.sampled_from(CLASS_FILTERS),
+       start=st.integers(2, 200), span=st.integers(0, 300), cap=st.integers(1, 30),
+       data=st.data())
+def test_verify_accepts_a_scan_file_exactly_as_one_run_writes_it(tmp_path_factory, kind, cls,
+                                                                 start, span, cap, data):
+    path = tmp_path_factory.mktemp(kind) / "run.csv"
+    scan_to_csv(kind, ScanConfig(start, start + span, cls, cap), str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    assert verify_csv(str(path)) == len(lines) - 1
+    if len(lines) < 4:  # no row between the first and the last
+        return
+    cut = data.draw(st.integers(2, len(lines) - 2), label="cut")  # lines[cut] is file line cut + 1
+    path.write_text("".join(lines[:cut] + lines[cut + 1:]))
+    s_cell = 2 if kind == "scan" else 1
+    walks = [int(ln.split(",")[s_cell]) for ln in lines[1:]]
+    left = {int(ln.split(",")[0]) % 12 for ln in lines[1:cut] + lines[cut + 1:]}
+    # a fig2/fig3 file without its unique longest walk is what a smaller cap
+    # writes, and a file left in one hard class, not the cut row's, is that class's run
+    unique_longest = kind != "scan" and walks[cut - 1] == max(walks) and walks.count(max(walks)) == 1
+    one_other_class = (len(left) == 1 and left <= {3, 7, 11}
+                       and int(lines[cut].split(",")[0]) % 12 not in left)
+    if unique_longest or one_other_class:
+        assert verify_csv(str(path)) == len(lines) - 2
+    else:
+        with pytest.raises(VerifyError, match=f":{cut + 1}: .*n must rise by the scan's one step"):
+            verify_csv(str(path))
 
 
 # ------------------------------------------------------------------ CLI
@@ -420,12 +451,20 @@ _FIG3_19 = "19,4,2,0.562500000000000,0.312500000000000,0.0625000000000000,5.0000
      "7 does not follow 19: n must rise"),
     # chunks of 3 from 2: a resume that appended its last chunk, 5..7, twice
     (_SCAN_2_7 + _SCAN_2_7.split("\n", 4)[4], 8, "5 does not follow 7: n must rise"),
+    # a row the run leaves out is refused at its own line, before a later fault
+    ("n,s,r,r_over_s,pow_ratio\n3,4,2,0.500000000000000,0.562500000000000\n"
+     "4,1,0,0,0.500000000000000\n4,1,0,0,0.500000000000000\n", 3,
+     "row for 4 should not appear in fig2"),
+    # under a cap of 1 no odd n stops, so no walk runs on to the last row
+    ("n,s,r,r_over_s,pow_ratio\n3,1,0,0,0\n" + f"{10 ** 30 + 3},1,0,0,0\n", 2,
+     "row for 3 should not appear in fig2"),
 ], ids=["scan-n-below-2", "scan-zero-steps", "table2-class-12i+4", "fig2-even-n", "table3-wrong-length",
         "traj-past-1", "cycles-negative-alpha", "bounds-zero-alpha", "table1-negative-i",
         "table3-past-census-cap", "cycles-m1-not-integer", "cycles-first-bit-0",
         "cycles-past-cap", "table4-below-window", "table4-rows-swapped", "table4-row-repeated",
         "table4-gap-not-falling", "table4-past-cap", "bounds-past-cap", "scan-row-repeated",
-        "fig3-rows-swapped", "scan-last-chunk-twice"])
+        "fig3-rows-swapped", "scan-last-chunk-twice", "fig2-left-out-row-before-a-fault",
+        "fig2-cap-writes-no-row"])
 def test_cli_verify_refuses_unproducible_row(tmp_path, capsys, text, line, reason):
     path = tmp_path / "r.csv"
     path.write_text(text)
@@ -553,12 +592,14 @@ def test_cli_scan_and_verify(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("args,cut,line", [
-    (["--start", "2", "--end", "30"], range(10, 21), 10),
-    (["--start", "2", "--end", "200", "--class", "12i+7"], [5], 5),
-], ids=["all-lines-10-20", "12i+7-one-row"])
+    (["scan", "--start", "2", "--end", "30"], range(10, 21), 10),
+    (["scan", "--start", "2", "--end", "200", "--class", "12i+7"], [5], 5),
+    (["fig2", "--start", "3", "--end", "3000"], [50], 50),
+    (["fig3", "--end", "20007"], [50], 50),
+], ids=["all-lines-10-20", "12i+7-one-row", "fig2-line-50", "fig3-line-50"])
 def test_cli_verify_refuses_a_scan_with_rows_cut_out(tmp_path, capsys, args, cut, line):
     out, gap = tmp_path / "s.csv", tmp_path / "gap.csv"
-    assert main(["scan", *args, "--out", str(out)]) == 0
+    assert main([*args, "--out", str(out)]) == 0
     lines = out.read_text().splitlines(keepends=True)
     gap.write_text("".join(ln for i, ln in enumerate(lines, 1) if i not in cut))
     capsys.readouterr()
@@ -571,6 +612,19 @@ def test_cli_verify_refuses_a_scan_with_rows_cut_out(tmp_path, capsys, args, cut
     last.write_text(lines[0] + "".join(lines[-5:]))
     assert main(["verify", str(last)]) == 0
     assert capsys.readouterr().out == "verified 5 rows\n"
+
+
+def test_cli_verify_refuses_a_scan_joined_from_runs_with_two_caps(tmp_path, capsys):
+    # no one run writes 27 capped at 5 steps beside 63 capped at 7
+    a, b, joined = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "mixed.csv"
+    assert main(["scan", "--start", "25", "--end", "60", "--step-cap", "5", "--out", str(a)]) == 0
+    assert main(["scan", "--start", "61", "--end", "90", "--step-cap", "7", "--out", str(b)]) == 0
+    joined.write_text(a.read_text() + b.read_text().split("\n", 1)[1])
+    capsys.readouterr()
+    assert main(["verify", str(joined)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {joined}:4: row '27,12i+3,5,4,11011,71,1' does not re-derive; "
+                          "expected '27,12i+3,7,6,1101111,161,1'")
 
 
 def test_cli_fig2_defaults_overridable(tmp_path, capsys):

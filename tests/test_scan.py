@@ -1,5 +1,6 @@
 import hashlib
 import os
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -136,16 +137,6 @@ def test_capped_walk_is_the_step_limit_error(cap):
     assert capped > 0
 
 
-def test_row_order_fixes_one_step():
-    for rows in ([2, 3, 4, 5], [3, 15, 27], [7, 19], [11, 23, 35], [9]):
-        follows = scan_mod.row_order()
-        assert all(map(follows, rows, rows[1:]))
-    for rows in ([2, 3, 5], [3, 15, 16], [5, 17], [3, 4, 16], [7, 7], [7, 31], [8, 7]):
-        follows = scan_mod.row_order()
-        assert not all(map(follows, rows, rows[1:]))
-    assert scan_mod.CLASS_FILTERS == ("all", "12i+3", "12i+7", "12i+11")
-
-
 def test_alpha_violation_reporting():
     # a synthetic envelope breach: ratio for 3 is 5, so alpha 40 holds; force
     # a violation by scanning with the module constant monkeypatched
@@ -195,6 +186,22 @@ def test_scan_resume_byte_identical(tmp_path):
     assert stats2.count == ref_stats.count
     assert stats2.max_alpha_ratio == ref_stats.max_alpha_ratio
     assert stats2.argmax_n == ref_stats.argmax_n
+
+
+def test_a_stopped_scan_and_its_resume_build_no_chunk_they_do_not_run(tmp_path):
+    # 10^6 chunks of 10 n each: a run stopped after one chunk, then its resume
+    cfg = ScanConfig(start=2, end=10 ** 7 + 1, chunk_size=10,
+                     checkpoint_path=str(tmp_path / "s.ck"))
+    out = tmp_path / "s.csv"
+    tracemalloc.start()
+    try:
+        counts = [scan_to_csv("scan", cfg, str(out), max_chunks=1)[0].count for _ in range(2)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == [10, 20]
+    assert len(out.read_text().splitlines()) == 21
+    assert peak < 2 ** 20
 
 
 def test_resume_truncates_partial_tail(tmp_path):
@@ -327,6 +334,7 @@ def test_config_validation():
         ScanConfig(start=10, end=9)
     with pytest.raises(DomainError):
         ScanConfig(start=2, end=10, class_filter="12i+5")
+    assert scan_mod.CLASS_FILTERS == ("all", "12i+3", "12i+7", "12i+11")
     with pytest.raises(DomainError):
         ScanConfig(start=2, end=10, workers=0)
 
