@@ -66,7 +66,6 @@ def _scan_command(sub, kind: str, help: str, *, start: int, end: int, cls: str) 
     p.add_argument("--class", dest="class_filter", choices=CLASS_FILTERS, default=cls)
     p.add_argument("--workers", type=int, default=ScanConfig.workers)
     p.add_argument("--checkpoint", help="ledger file enabling resume")
-    p.add_argument("--step-cap", type=int, default=ScanConfig.step_cap)
     p.add_argument("--chunk-size", type=int, default=ScanConfig.chunk_size)
     p.add_argument("--max-chunks", type=int,
                    help="stop cleanly after this many chunks (resume later)")
@@ -137,13 +136,13 @@ def build_parser() -> Parser:
 
 def _run_scan(kind: str, args) -> int:
     cfg = ScanConfig(start=args.start, end=args.end, class_filter=args.class_filter,
-                     step_cap=args.step_cap, workers=args.workers,
-                     checkpoint_path=args.checkpoint, chunk_size=args.chunk_size)
+                     workers=args.workers, checkpoint_path=args.checkpoint,
+                     chunk_size=args.chunk_size)
     stats, done = reports.scan_to_csv(kind, cfg, args.out, args.max_chunks)
     ratio = stats.max_alpha_ratio
     print("rows={} max_alpha_ratio={} argmax_n={} complete={}".format(
         stats.count,
-        f"{ratio.numerator}/{ratio.denominator}" if ratio is not None else "-",
+        ratio if ratio is not None else "-",  # as a CSV cell renders it: p/q, or p when q is 1
         stats.argmax_n if stats.argmax_n is not None else "-",
         1 if done else 0))
     for n in stats.violations:

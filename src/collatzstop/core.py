@@ -91,16 +91,15 @@ def walk(n: int, cap: int) -> tuple[int, int, int, int, int, bool]:
     return s, r, w, word, v, False
 
 
-def descend(n: int, step_cap: int) -> tuple[int, int, int, int, int]:
-    """(s, r, w, word, value) of walk(n, step_cap), which must descend.
+def descend(n: int) -> tuple[int, int, int, int, int]:
+    """(s, r, w, word, value) of walk(n, DEFAULT_STEP_CAP), which must descend.
 
-    step_cap must be >= 1.  A walk that never drops below n can only end at
-    the cap; only then is it searched for a return to n (CycleDetectedError)
-    before StepLimitError reports the partial walk.
+    The cap is read at each call, so every walk to descent stops at the one
+    cap the scans and `verify` walk under too.  A walk that never drops below
+    n can only end at the cap; only then is it searched for a return to n
+    (CycleDetectedError) before StepLimitError reports the partial walk.
     """
-    if step_cap < 1:
-        raise DomainError(f"step_cap must be >= 1, got {step_cap}")
-    s, r, w, word, v, capped = walk(n, step_cap)
+    s, r, w, word, v, capped = walk(n, DEFAULT_STEP_CAP)
     if capped:
         for step, (u, _) in enumerate(islice(_iterates(n), s), 1):
             if u == n:
@@ -109,15 +108,16 @@ def descend(n: int, step_cap: int) -> tuple[int, int, int, int, int]:
     return s, r, w, word, v
 
 
-def stopping_record(n: int, step_cap: int = DEFAULT_STEP_CAP) -> StoppingRecord:
+def stopping_record(n: int) -> StoppingRecord:
     """Minimal descent record for n >= 2.
 
     n = 1 is rejected: it sits on the 1-2-1 loop and never descends.  A walk
-    that exceeds step_cap raises StepLimitError carrying the partial walk.
+    that takes DEFAULT_STEP_CAP steps without descending raises
+    StepLimitError carrying the partial walk.
     """
     if n < 2:
         raise DomainError(f"stopping is defined for n >= 2, got {n}")
-    return _record(n, *descend(n, step_cap), False)
+    return _record(n, *descend(n), False)
 
 
 def is_parity_prefix(q: ParitySequence, n: int) -> bool:

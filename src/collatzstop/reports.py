@@ -33,6 +33,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
 from . import bounds as bnd
+from . import core
 from . import residues as res
 from . import scan as scn
 # descend is unused here but must stay importable as reports.descend:
@@ -384,9 +385,10 @@ class VerifyError(DomainError):
     """A CSV row does not match its re-derivation."""
 
 
-def _walk_row(n: int, cap: int) -> tuple:
-    """The raw scan row of n, re-derived by the producer's walk under the cap."""
-    return (n, *scn._scan_one(n, cap))
+def _walk_row(n: int) -> tuple:
+    """The raw scan row of n, re-derived by the producer's walk under the
+    producer's cap, core.DEFAULT_STEP_CAP."""
+    return (n, *scn._scan_one(n, core.DEFAULT_STEP_CAP))
 
 
 _KIND_OF = {header: kind for kind, (header, _) in _SCAN_KINDS.items()}
@@ -397,39 +399,31 @@ def _replayed(kind: str, path: str) -> Callable[[str], str]:
     """got -> the line that the one run a scan-kind file implies writes in
     got's place, each call the next line.
 
-    Pass 1 reads each row's n and s, up to the first row that fails its own
-    checks: n >= 2, s >= 1 and n rising.  The run the rows before it imply
-    spans the first n to the last, in the one hard class every row lies in,
-    or all, capped at the longest walk: that cap re-derives every row and
-    every n a run leaves out for its cap.  The calls replay that run by the
-    producer's enumeration, walk and formatter, and parse got only when it
-    differs.  Once the run is out, the next line is the row pass 1 stopped
-    at, and its fault is raised.
+    Pass 1 reads each row's n, up to the first row that fails its own
+    checks: n >= 2 and n rising.  The run the rows before it imply spans the
+    first n to the last, in the one hard class every row lies in, or all.
+    The calls replay that run by the producer's enumeration, walk, step cap
+    and formatter, and parse got only when it differs.  Once the run is out,
+    the next line is the row pass 1 stopped at, and its fault is raised.
     """
-    col = 2 if kind == "scan" else 1  # the s cell
-    first, last, cap, seen, fault = None, 1, 0, 0, None
+    first, last, seen, fault = None, 1, 0, None
     with open(path, encoding="ascii", errors="surrogateescape", newline="\n") as fh:
         next(fh)
         try:
             for line in fh:
-                c = line.split(",", col + 1)
-                n, s = int(c[0]), int(c[col])
+                n = int(line.split(",", 1)[0])
                 if n < 2:
                     raise DomainError(f"no scan starts below 2, got {n}")
-                if s < 1:
-                    raise DomainError(f"no scan walk takes fewer than 1 step, got s = {s}")
                 if n <= last:
                     raise DomainError(f"{n} does not follow {last}: n must rise")
                 first, last, seen = first or n, n, seen | 1 << n % 12
-                if s > cap:
-                    cap = s
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             fault = exc
 
     def run() -> Iterator[tuple[int, str]]:
         formatter, line = _SCAN_KINDS[kind][1], ""
         for m in scn._chunk_starts(first or 2, last, _ONE_CLASS.get(seen)):
-            line = formatter(_walk_row(m, cap))
+            line = formatter(_walk_row(m))
             if line is not None:
                 yield m, line
             elif m == first:  # the first row is refused, so walk no further
@@ -462,15 +456,16 @@ def verify_csv(path: str) -> int:
     row of the other reports is re-derived from its own key cells by the
     rule its producer uses (residues.census_word for table3,
     bounds.fixed_point for cycles, bounds.ratio_record for table4), under
-    the producer's constants (residues.Q_CAP, CENSUS_CAP; bounds.CYCLE_CAP,
-    RECORD_S_CAP, BOUND_R_CAP), each length cap checked before the row's
-    arithmetic starts.  Three rules span rows: traj rows must follow the
+    the producer's constants (core.DEFAULT_STEP_CAP on every walk;
+    residues.Q_CAP, CENSUS_CAP; bounds.CYCLE_CAP, RECORD_S_CAP,
+    BOUND_R_CAP), each length cap checked before the row's arithmetic
+    starts.  Three rules span rows: traj rows must follow the
     walk from the first row's n, step 1, 2, 3, ..., and may not go past the
     point where it reaches 1 (a traj file that stops early still verifies,
     since `traj --limit` writes one); each table4 row after the first must
     follow the row before it by bounds.gap_falls; and a scan, fig2 or fig3
-    file must be exactly what one run writes for the range, class and cap
-    its rows imply (`_replayed`).
+    file must be exactly what one run writes for the range and class its
+    rows imply (`_replayed`).
     Whether a table4 row is a record from the producing `--s-min` on is
     not checked: any row inside the descent window can open a file.  The
     other reports are checked row by row, so a repeated row still verifies.

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import DEFAULT_STEP_CAP, descend, walk
+from .core import descend, walk
 from .errors import DomainError, check_cap
 from .sequences import ParitySequence, word_bits
 
@@ -135,7 +135,7 @@ def table2_row(n: int) -> tuple[int, str, ParitySequence | None, int]:
     than Q_CAP."""
     if n < 1 or n % 12 not in (3, 7, 11):
         raise DomainError(f"table 2 holds only 12i+3, 12i+7 and 12i+11, not {n}")
-    s, _, _, word, value = descend(n, DEFAULT_STEP_CAP)
+    s, _, _, word, value = descend(n)
     q = ParitySequence(word_bits(word, s)) if s <= Q_CAP else None
     return n, f"12i+{n % 12}", q, value
 

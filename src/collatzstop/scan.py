@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
+from . import core  # core.DEFAULT_STEP_CAP is read at each scan, so it caps every walk
 from .core import CappedWalk, StoppingRecord, _record, walk as _scan_one  # walks every scanned and verified row
 from .errors import CheckpointError, DomainError
 from .bounds import ALPHA  # the envelope checked during scans; tests patch scan.ALPHA
@@ -43,7 +44,6 @@ class ScanConfig:
     start: int
     end: int
     class_filter: str = "all"
-    step_cap: int = 10 ** 5
     workers: int = 1
     checkpoint_path: str | None = None
     chunk_size: int = 10_000
@@ -55,8 +55,6 @@ class ScanConfig:
             raise DomainError(f"end must be >= start, got {self.end} < {self.start}")
         if self.class_filter not in CLASS_FILTERS:
             raise DomainError(f"class_filter must be one of {CLASS_FILTERS}")
-        if self.step_cap < 1:
-            raise DomainError("step_cap must be >= 1")
         if self.workers < 1:
             raise DomainError("workers must be >= 1")
         if self.chunk_size < 1:
@@ -133,7 +131,7 @@ def _span(cfg: ScanConfig, lo: int) -> tuple[int, int]:
 
 def _chunk_results(cfg: ScanConfig, chunks: range) -> Iterator[tuple[list, ScanStats]]:
     """Results for the given chunks, in order, parallel when asked."""
-    args = ((*_span(cfg, lo), _RESIDUE[cfg.class_filter], cfg.step_cap) for lo in chunks)
+    args = ((*_span(cfg, lo), _RESIDUE[cfg.class_filter], core.DEFAULT_STEP_CAP) for lo in chunks)
     if cfg.workers == 1 or len(chunks) <= 1:
         yield from map(_chunk_worker, args)
         return
@@ -185,7 +183,7 @@ def _config_hash(cfg: ScanConfig, header: str) -> str:
         "start": cfg.start,
         "end": cfg.end,
         "class_filter": cfg.class_filter,
-        "step_cap": cfg.step_cap,
+        "step_cap": core.DEFAULT_STEP_CAP,
         "chunk_size": cfg.chunk_size,
         "header": header,
     }, sort_keys=True)

@@ -41,24 +41,16 @@ def test_stopping_rejects_small():
             stopping_record(n)
 
 
+@pytest.mark.step_cap(10)  # 27 needs 59 steps
 def test_step_cap_carries_partial_walk():
     from collatzstop import parse_sequence
 
     with pytest.raises(StepLimitError) as info:
-        stopping_record(27, step_cap=10)
+        stopping_record(27)
     err = info.value
     assert err.start == 27 and err.steps == 10
     assert len(err.word) == 10 and err.value >= 27
     assert is_parity_prefix(parse_sequence(err.word), 27)
-
-
-@pytest.mark.parametrize("cap", [0, -1])
-def test_descend_refuses_step_cap_below_1(cap):
-    from collatzstop.core import descend
-
-    for walk in (lambda: descend(27, cap), lambda: stopping_record(27, cap)):
-        with pytest.raises(DomainError, match=f"step_cap must be >= 1, got {cap}"):
-            walk()
 
 
 def test_trajectory_examples():
@@ -108,12 +100,13 @@ def test_hard_classes_need_four_steps(i):
         assert stopping_record(12 * i + res).s >= 4
 
 
+@pytest.mark.step_cap(100)
 def test_trivial_cycle_member_is_detected():
     from collatzstop import CycleDetectedError
     from collatzstop.core import descend
 
     with pytest.raises(CycleDetectedError, match="1 returned to itself after 2 steps"):
-        descend(1, 100)
+        descend(1)
 
 
 @given(st.integers(min_value=3, max_value=10 ** 6))

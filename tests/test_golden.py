@@ -10,6 +10,7 @@ import hashlib
 
 import pytest
 
+from collatzstop import core
 from collatzstop.cli import main
 
 # name -> argv without --out; "--json" cases cover the JSONL typing
@@ -45,13 +46,15 @@ CASES = {
     "seq-json": ["seq", "1100", "--apply", "3", "--json"],
     "scan": ["scan", "--start", "2", "--end", "3000", "--chunk-size", "700"],
     "scan-class": ["scan", "--class", "12i+11", "--start", "2", "--end", "6000"],
-    "scan-capped": ["scan", "--start", "25", "--end", "400", "--step-cap", "5"],
+    "scan-capped": ["scan", "--start", "25", "--end", "400"],
     "fig2": ["fig2", "--start", "3", "--end", "3000"],
-    "fig2-capped": ["fig2", "--start", "3", "--end", "600", "--step-cap", "4"],
+    "fig2-capped": ["fig2", "--start", "3", "--end", "600"],
     "fig3": ["fig3", "--end", "20007"],
-    "fig3-all": ["fig3", "--class", "all", "--start", "2", "--end", "2000",
-                 "--step-cap", "10"],
+    "fig3-all": ["fig3", "--class", "all", "--start", "2", "--end", "2000"],
 }
+
+# name -> the step cap a case runs under, in place of core.DEFAULT_STEP_CAP
+CAPS = {"scan-capped": 5, "fig2-capped": 4, "fig3-all": 10}
 
 DIGESTS = {
     "table1": "513133b244b61bcde96fe0dc395ed4750df3bfafd14573c239fc886d0ff41dd1",
@@ -85,9 +88,9 @@ DIGESTS = {
     "seq-json": "b5704685bdf6c049c11df707c5071074920c7e1e8f7f2d23dcec1a3d331ec892",
     "scan": "bfd19eddce4e1d79a9516e62ccea65e7379456c87f67eb9d55148356dfd55683",
     "scan-class": "5e28362fdf259b727086e1f3b5dd029b6703421af1b80d9f297d47402f835ebe",
-    "scan-capped": "6c6ae8d4e785db44d8ddfa665133efac402e251306adbb756a5de96e9748bd7a",
+    "scan-capped": "cfbe6b78393cc8683859edf52e17bf155a069e2d1cc754bbafef59781d0a4902",
     "fig2": "9d0f9ee728ff64ac367b53b3890c509e2ea7c565a2980578ce0e9c8ded9feb87",
-    "fig2-capped": "ab3e9eeb512be84fd98df4d1b383fe26a30c78fe7fe407326289e4cd7be9907c",
+    "fig2-capped": "537eba6e496bb85ecb1422aa85b34a9686c26311984cc82174454cbbdc4ebabd",
     "fig3": "dc4b190cf1185f89a62122e31d6390b87a6866f55e4e536516e645e51635bbba",
     "fig3-all": "0b4854151793b8bb204e235f9482cc9097243e3712f19f894ecf4f0635d37a10",
 }
@@ -98,8 +101,9 @@ def test_every_case_is_pinned():
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_output(name, tmp_path, capsys):
+def test_golden_output(name, tmp_path, capsys, monkeypatch):
     argv = CASES[name]
+    monkeypatch.setattr(core, "DEFAULT_STEP_CAP", CAPS.get(name, core.DEFAULT_STEP_CAP))
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 0
     summary = capsys.readouterr().out.encode()

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collatzstop import core
 from collatzstop.bounds import cycle_candidate, cycle_upper_bound, log3_2, matveev_constant
 from collatzstop.cli import main
 from collatzstop.core import stopping_record
@@ -140,13 +141,13 @@ def test_verify_roundtrip(tmp_path, build):
 
 @pytest.mark.parametrize("kind,cfg", [
     ("scan", dict(start=2, end=400)),
-    ("scan", dict(start=25, end=40, step_cap=5)),
+    pytest.param("scan", dict(start=25, end=40), marks=pytest.mark.step_cap(5)),
     ("fig2", dict(start=3, end=500)),
     ("fig3", dict(start=7, end=2000, class_filter="12i+7")),
     ("scan", dict(start=2, end=500, class_filter="12i+3")),
     ("scan", dict(start=2, end=500, class_filter="12i+11")),
     # its first rows, 23 and 35, both lie in 12i+11, and 43 in 12i+7
-    ("fig3", dict(start=20, end=400, step_cap=7)),
+    pytest.param("fig3", dict(start=20, end=400), marks=pytest.mark.step_cap(7)),
 ])
 def test_verify_scan_roundtrip(tmp_path, kind, cfg):
     path = tmp_path / f"{kind}.csv"
@@ -263,26 +264,23 @@ def test_verify_accepts_a_row_exactly_when_the_producer_writes_it(tmp_path_facto
 def test_verify_accepts_a_scan_file_exactly_as_one_run_writes_it(tmp_path_factory, kind, cls,
                                                                  start, span, cap, data):
     path = tmp_path_factory.mktemp(kind) / "run.csv"
-    scan_to_csv(kind, ScanConfig(start, start + span, cls, cap), str(path))
-    lines = path.read_text().splitlines(keepends=True)
-    assert verify_csv(str(path)) == len(lines) - 1
-    if len(lines) < 4:  # no row between the first and the last
-        return
-    cut = data.draw(st.integers(2, len(lines) - 2), label="cut")  # lines[cut] is file line cut + 1
-    path.write_text("".join(lines[:cut] + lines[cut + 1:]))
-    s_cell = 2 if kind == "scan" else 1
-    walks = [int(ln.split(",")[s_cell]) for ln in lines[1:]]
-    left = {int(ln.split(",")[0]) % 12 for ln in lines[1:cut] + lines[cut + 1:]}
-    # a fig2/fig3 file without its unique longest walk is what a smaller cap
-    # writes, and a file left in one hard class, not the cut row's, is that class's run
-    unique_longest = kind != "scan" and walks[cut - 1] == max(walks) and walks.count(max(walks)) == 1
-    one_other_class = (len(left) == 1 and left <= {3, 7, 11}
-                       and int(lines[cut].split(",")[0]) % 12 not in left)
-    if unique_longest or one_other_class:
-        assert verify_csv(str(path)) == len(lines) - 2
-    else:
-        with pytest.raises(VerifyError, match=f":{cut + 1}: .*n must rise by the scan's one step"):
-            verify_csv(str(path))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "DEFAULT_STEP_CAP", cap)  # the producer's and verify's one cap
+        scan_to_csv(kind, ScanConfig(start, start + span, cls), str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        assert verify_csv(str(path)) == len(lines) - 1
+        if len(lines) < 4:  # no row between the first and the last
+            return
+        cut = data.draw(st.integers(2, len(lines) - 2), label="cut")  # lines[cut] is file line cut + 1
+        path.write_text("".join(lines[:cut] + lines[cut + 1:]))
+        left = {int(ln.split(",")[0]) % 12 for ln in lines[1:cut] + lines[cut + 1:]}
+        # a file left in one hard class, not the cut row's, is that class's run
+        if (len(left) == 1 and left <= {3, 7, 11}
+                and int(lines[cut].split(",")[0]) % 12 not in left):
+            assert verify_csv(str(path)) == len(lines) - 2
+        else:
+            with pytest.raises(VerifyError, match=f":{cut + 1}: .*n must rise by the scan's one step"):
+                verify_csv(str(path))
 
 
 # ------------------------------------------------------------------ CLI
@@ -296,7 +294,11 @@ def test_cli_stop_json(capsys):
 
 def test_cli_exit_codes(tmp_path, capsys):
     assert main(["stop", "1"]) == 2
-    assert main(["stop", "27", "--step-cap", "10"]) == 1  # stop walks under the one cap
+    assert main(["stop", "27", "--step-cap", "10"]) == 1  # every walk stops at the one cap
+    for kind in ("scan", "fig2", "fig3"):
+        out = tmp_path / f"{kind}.csv"
+        assert main([kind, "--end", "50", "--step-cap", "5", "--out", str(out)]) == 1
+        assert not out.exists()
     assert main(["nonsense"]) == 1
     assert main(["table2"]) == 1          # missing required --max-n
     assert main(["seq", "10x"]) == 2
@@ -401,8 +403,9 @@ _FIG3_19 = "19,4,2,0.562500000000000,0.312500000000000,0.0625000000000000,5.0000
 
 @pytest.mark.parametrize("text,line,reason", [
     ("n,class,s,r,q,value,capped\n1,12i+1,2,1,10,1,1\n", 2, "no scan starts below 2"),
+    # s = 0 has no rule of its own: the replay refuses the row by its line
     ("n,class,s,r,q,value,capped\n27,12i+3,0,0,0,27,1\n", 2,
-     "no scan walk takes fewer than 1 step, got s = 0"),
+     "row '27,12i+3,0,0,0,27,1' does not re-derive; expected '27,12i+3,59,37,"),
     ("n,q,F\n4,0,2\n5,10,4\n", 2, "table 2 holds only 12i+3, 12i+7 and 12i+11"),
     ("n,s,r,r_over_s,pow_ratio\n3,4,2,0.500000000000000,0.562500000000000\n"
      "4,1,0,0,0.500000000000000\n", 3, "row for 4 should not appear in fig2"),
@@ -450,8 +453,8 @@ _FIG3_19 = "19,4,2,0.562500000000000,0.312500000000000,0.0625000000000000,5.0000
      "4,1,0,0,0.500000000000000\n4,1,0,0,0.500000000000000\n", 3,
      "row for 4 should not appear in fig2"),
     # under a cap of 1 no odd n stops, so no walk runs on to the last row
-    ("n,s,r,r_over_s,pow_ratio\n3,1,0,0,0\n" + f"{10 ** 30 + 3},1,0,0,0\n", 2,
-     "row for 3 should not appear in fig2"),
+    pytest.param("n,s,r,r_over_s,pow_ratio\n3,1,0,0,0\n" + f"{10 ** 30 + 3},1,0,0,0\n", 2,
+                 "row for 3 should not appear in fig2", marks=pytest.mark.step_cap(1)),
     # each line ends in LF alone, as written: not CR LF, and not cut before its LF
     ("n,q,F\r\n3,1100,2\r\n", 1, "unrecognized header 'n,q,F\\r'"),
     (_SCAN_2_7.replace("\n6,", "\r\n6,"), 5,
@@ -509,7 +512,7 @@ def test_cli_verify_empty_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv,reason", [
-    (["scan", "--end", "50", "--step-cap", "0"], "step_cap must be >= 1"),
+    (["scan", "--end", "50", "--workers", "0"], "workers must be >= 1"),
     (["scan", "--end", "50", "--chunk-size", "0"], "chunk_size must be >= 1"),
     (["table1", "--rows", "0"], "rows must be >= 1"),
     (["table3", "--s-min", "9", "--s-max", "5"], "need 1 <= s_min <= s_max"),
@@ -595,7 +598,8 @@ def test_cli_scan_and_verify(tmp_path, capsys):
 @pytest.mark.parametrize("args,summary", [
     (["fig2", "--start", "3", "--end", "3000"], "rows=1499 "),
     # 13 n walked; only 43, 51 and 55 are odd, stop within 7 steps and have r >= 2
-    (["fig3", "--class", "all", "--start", "43", "--end", "55", "--step-cap", "7"], "rows=3 "),
+    pytest.param(["fig3", "--class", "all", "--start", "43", "--end", "55"], "rows=3 ",
+                 marks=pytest.mark.step_cap(7)),
     # 5 stops with r = 1, so fig3 writes no row and has no ratio
     (["fig3", "--class", "all", "--start", "5", "--end", "5"],
      "rows=0 max_alpha_ratio=- argmax_n=- complete=1\n"),
@@ -614,7 +618,10 @@ def test_cli_scan_summary_counts_the_rows_in_its_file(tmp_path, capsys, args, su
     (["scan", "--start", "2", "--end", "200", "--class", "12i+7"], [5], 5),
     (["fig2", "--start", "3", "--end", "3000"], [50], 50),
     (["fig3", "--end", "20007"], [50], 50),
-], ids=["all-lines-10-20", "12i+7-one-row", "fig2-line-50", "fig3-line-50"])
+    # 10087's is the file's one walk of 105 steps: verify walks under the
+    # producer's cap, not one the longest walk left in the file implies
+    (["fig3", "--end", "20007"], [842], 842),
+], ids=["all-lines-10-20", "12i+7-one-row", "fig2-line-50", "fig3-line-50", "fig3-longest-walk"])
 def test_cli_verify_refuses_a_scan_with_rows_cut_out(tmp_path, capsys, args, cut, line):
     out, gap = tmp_path / "s.csv", tmp_path / "gap.csv"
     assert main([*args, "--out", str(out)]) == 0
@@ -624,7 +631,8 @@ def test_cli_verify_refuses_a_scan_with_rows_cut_out(tmp_path, capsys, args, cut
     assert main(["verify", str(gap)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {gap}:{line}: ")
-    assert "n must rise by the scan's one step" in err
+    left_out = lines[cut[0] - 1].split(",", 1)[0]
+    assert f" leaves out {left_out}: n must rise by the scan's one step" in err
     # a file of a scan's last rows cannot show where the range began
     last = tmp_path / "last.csv"
     last.write_text(lines[0] + "".join(lines[-5:]))
@@ -632,11 +640,13 @@ def test_cli_verify_refuses_a_scan_with_rows_cut_out(tmp_path, capsys, args, cut
     assert capsys.readouterr().out == "verified 5 rows\n"
 
 
-def test_cli_verify_refuses_a_scan_joined_from_runs_with_two_caps(tmp_path, capsys):
+def test_cli_verify_refuses_a_scan_joined_from_runs_with_two_caps(tmp_path, capsys, monkeypatch):
     # no one run writes 27 capped at 5 steps beside 63 capped at 7
     a, b, joined = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "mixed.csv"
-    assert main(["scan", "--start", "25", "--end", "60", "--step-cap", "5", "--out", str(a)]) == 0
-    assert main(["scan", "--start", "61", "--end", "90", "--step-cap", "7", "--out", str(b)]) == 0
+    monkeypatch.setattr(core, "DEFAULT_STEP_CAP", 5)
+    assert main(["scan", "--start", "25", "--end", "60", "--out", str(a)]) == 0
+    monkeypatch.setattr(core, "DEFAULT_STEP_CAP", 7)
+    assert main(["scan", "--start", "61", "--end", "90", "--out", str(b)]) == 0
     joined.write_text(a.read_text() + b.read_text().split("\n", 1)[1])
     capsys.readouterr()
     assert main(["verify", str(joined)]) == 2

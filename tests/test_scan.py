@@ -13,6 +13,7 @@ from collatzstop import (
     scan_collect, scan_range, stopping_record,
 )
 import collatzstop.scan as scan_mod
+from collatzstop import core
 from collatzstop.cli import main
 from collatzstop.reports import _SCAN_HEADER, scan_to_csv
 from collatzstop.scan import CheckpointState
@@ -103,8 +104,9 @@ def test_empirical_alpha_examples():
         empirical_alpha([stopping_record(5)])  # r = 1, unit is zero
 
 
+@pytest.mark.step_cap(5)
 def test_capped_rows_are_flagged_not_dropped():
-    cfg = ScanConfig(start=25, end=31, step_cap=5)
+    cfg = ScanConfig(start=25, end=31)
     records, stats = scan_collect(cfg)
     assert stats.count == 7
     capped = {r.n for r in records if isinstance(r, CappedWalk)}
@@ -122,15 +124,16 @@ def test_scan_record_is_the_stopping_record(n):
 
 
 @pytest.mark.parametrize("cap", range(1, 11))
-def test_capped_walk_is_the_step_limit_error(cap):
+def test_capped_walk_is_the_step_limit_error(monkeypatch, cap):
+    monkeypatch.setattr(core, "DEFAULT_STEP_CAP", cap)
     capped = 0
-    for rec in scan_range(ScanConfig(start=2, end=100, step_cap=cap)):
+    for rec in scan_range(ScanConfig(start=2, end=100)):
         if isinstance(rec, StoppingRecord):
-            assert rec == stopping_record(rec.n, cap)
+            assert rec == stopping_record(rec.n)
             continue
         capped += 1
         with pytest.raises(StepLimitError) as info:
-            stopping_record(rec.n, cap)
+            stopping_record(rec.n)
         err = info.value
         assert (err.start, err.steps, err.odd_steps, err.word, err.value) == (
             rec.n, rec.steps, rec.r, rec.q_prefix.bits, rec.last_value)
@@ -478,6 +481,16 @@ def test_resume_refuses_v3_ledger(tmp_path, capsys):
     ck.write_text(f"{magic} v3 {cfg_hash}\n{rest}")
     err = _assert_refused(argv, out, ck, capsys)
     assert repr(f"{magic} v3 {cfg_hash}") in err and repr(head) in err
+
+
+def test_resume_refuses_a_ledger_written_under_another_step_cap(tmp_path, capsys, monkeypatch):
+    # the cap is in the header's hash: 10^5 was the scans' own default cap
+    with monkeypatch.context() as m:
+        m.setattr(core, "DEFAULT_STEP_CAP", 10 ** 5)
+        argv, out, ck = _ledger_scan(tmp_path, 1)
+    head = ck.read_text().split("\n", 1)[0]
+    err = _assert_refused(argv, out, ck, capsys)
+    assert repr(head) in err and "fix the arguments or delete it" in err
 
 
 def test_resume_refuses_ledger_that_is_no_header_prefix(tmp_path, capsys):
