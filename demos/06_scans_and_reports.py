@@ -34,8 +34,9 @@ with tempfile.TemporaryDirectory() as tmp:
     partial_cfg = ScanConfig(start=2, end=30_000, chunk_size=3_000,
                              checkpoint_path=str(ck))
     _, done = scan_to_csv("scan", partial_cfg, str(out), max_chunks=3)
+    state = ck.read_text().splitlines()[1].split(",")  # done,rows,ratio,argmax,bytes,...
     print(f"\nafter 3 chunks: complete={done}, "
-          f"checkpoint holds {len(ck.read_text().splitlines()) - 1} ledger lines")
+          f"checkpoint records {state[0]} chunks and {state[1]} rows")
     _, done = scan_to_csv("scan", partial_cfg, str(out))
     print(f"after resume:  complete={done}, {out.stat().st_size} bytes")
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator
 
-from .errors import CycleDetectedError, DomainError, StepLimitError
+from .errors import CycleDetectedError, DomainError, StepLimitError, check_cap
 from .sequences import ParitySequence, word_bits
 
 DEFAULT_STEP_CAP = 10 ** 6
@@ -151,10 +151,13 @@ def trajectory(n: int, limit: int) -> list[tuple[int, int]]:
 
     Stops early once an iterate reaches 1; for n = 1 the walk simply loops
     the 1-2-1 cycle for exactly `limit` steps.  Truncation is visible in the
-    result (length == limit without reaching 1), never an error.
+    result (length == limit without reaching 1), never an error.  A limit
+    past DEFAULT_STEP_CAP, read at each call, is a LimitError: every row is
+    kept, so the limit bounds the memory.
     """
     if n < 1:
         raise DomainError(f"the map is defined on positive integers, got {n}")
     if limit < 1:
         raise DomainError(f"limit must be >= 1, got {limit}")
+    check_cap("trajectory limit", limit, DEFAULT_STEP_CAP)
     return list(islice(_iterates(n), limit))

@@ -41,7 +41,7 @@ from . import scan as scn
 from .core import (_iterates, descend, is_parity_prefix, stopping_record,  # noqa: F401
                    trajectory)
 from .errors import DomainError, LimitError, check_cap
-from .sequences import (ParitySequence, apply_closed_form, lower_unit_numerator,
+from .sequences import (WORD_CAP, ParitySequence, apply_closed_form, lower_unit_numerator,
                         parse_sequence, sigma, weighted_sum, word_bits)
 
 SIG_DIGITS = 15
@@ -366,6 +366,7 @@ def traj_report(n: int, limit: int) -> Report:
 
 def _seq_row(text: str, apply_n: int | None) -> Row:
     q = parse_sequence(text)
+    check_cap("parity word of length", q.s, WORD_CAP)
     row = [q.bits, q.s, q.r, weighted_sum(q), sigma(q)]
     if apply_n is not None:
         out = apply_closed_form(q, apply_n)
@@ -456,10 +457,10 @@ def verify_csv(path: str) -> int:
     row of the other reports is re-derived from its own key cells by the
     rule its producer uses (residues.census_word for table3,
     bounds.fixed_point for cycles, bounds.ratio_record for table4), under
-    the producer's constants (core.DEFAULT_STEP_CAP on every walk;
-    residues.Q_CAP, CENSUS_CAP; bounds.CYCLE_CAP, RECORD_S_CAP,
-    BOUND_R_CAP), each length cap checked before the row's arithmetic
-    starts.  Three rules span rows: traj rows must follow the
+    the producer's constants (core.DEFAULT_STEP_CAP on every walk and traj
+    row; sequences.WORD_CAP; residues.Q_CAP, CENSUS_CAP; bounds.CYCLE_CAP,
+    RECORD_S_CAP, BOUND_R_CAP), each length cap checked before the row's
+    arithmetic starts.  Three rules span rows: traj rows must follow the
     walk from the first row's n, step 1, 2, 3, ..., and may not go past the
     point where it reaches 1 (a traj file that stops early still verifies,
     since `traj --limit` writes one); each table4 row after the first must
@@ -481,6 +482,7 @@ def verify_csv(path: str) -> int:
         want = next(traj_walk, None)
         if want is None:
             raise DomainError(f"the walk from {c[0]} has already reached 1")
+        check_cap("trajectory step", want[1], core.DEFAULT_STEP_CAP)
         return want
 
     def table4_row(c: list[str]) -> Row:

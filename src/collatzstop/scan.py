@@ -3,11 +3,12 @@
 Work is cut into fixed chunks of the integer line; workers claim chunks and
 the single writer emits rows in ascending n no matter how many workers run,
 so output bytes are a pure function of the scan configuration.  A checkpoint
-is a text ledger, one line per completed chunk, that lets an interrupted
-scan resume and produce byte-identical remaining output.  Each ledger
-line holds its chunk's own stats, so a resume rebuilds the scan's stats
-with the same merge a live scan makes, and a running SHA-256 of the output
-and the ledger so far, which a resume checks before it trusts the line.
+is a two-line snapshot, replaced whole after each chunk, that lets an
+interrupted scan resume and produce byte-identical remaining output: the
+chunks done, the scan's running stats, the output size and a SHA-256 of
+that output prefix and the snapshot's other fields.  The snapshot is
+written to a side file and renamed over the old one, so a crash leaves the
+old snapshot or the new one, never a mix.
 Workers return raw kernel rows; `scan_range` turns each into its record
 with `core._record`, the one builder `stopping_record` uses too.  Chunks
 are a range of their first n, so a scan builds no chunk before it runs it.
@@ -36,7 +37,7 @@ _RESIDUE = {"all": None, "12i+3": 3, "12i+7": 7, "12i+11": 11}
 CLASS_FILTERS = tuple(_RESIDUE)
 
 CHECKPOINT_MAGIC = "collatzstop-scan"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -192,44 +193,43 @@ def _config_hash(cfg: ScanConfig, header: str) -> str:
 
 @dataclass
 class CheckpointState:
-    completed: list[tuple[int, int]] = field(default_factory=list)
+    done: int = 0  # chunks done
     stats: ScanStats = field(default_factory=ScanStats)
     out_bytes: int = 0
-    torn_bytes: int = 0  # length of a final ledger line that lacks its newline
-    # the running SHA-256 after the last whole line, which later lines continue
+    # the SHA-256 of the output's first out_bytes bytes, which later chunks continue
     digest: object = field(default_factory=hashlib.sha256, repr=False, compare=False)
 
 
 def _seal(digest, fields: list[str]) -> str:
-    """Add a ledger line's own fields (all but its digest), joined by commas
-    and ended by a newline, to the running hash; return the hex digest that
-    line carries."""
-    digest.update((",".join(fields) + "\n").encode("ascii"))
-    return digest.hexdigest()
+    """The hex SHA-256 of the output prefix that digest has taken, followed
+    by the state line's fields but its digest, joined by commas and ended by
+    a newline; digest itself is left as it was."""
+    sealed = digest.copy()
+    sealed.update((",".join(fields) + "\n").encode("ascii"))
+    return sealed.hexdigest()
 
 
-def checkpoint_save(path: str, config_hash: str, chunk: tuple[int, int],
+def checkpoint_save(path: str, config_hash: str, done: int,
                     stats: ScanStats, out_bytes: int, digest) -> None:
-    """Append one completed chunk's ledger line, after the header line when the
-    ledger is empty.
+    """Replace the ledger with the header line and one state line.
 
-    The line is `lo,hi,count,num/den,argmax|-,out_bytes,sha256[,n,...]`: the
-    chunk's own stats, count being the rows it wrote, the output size after
-    the chunk, the running digest, and the n of each alpha violation in the
-    chunk.  digest is the running SHA-256 of the output so far (header
-    included) and of every earlier line's fields; this line's fields are
-    added to it before the hex digest is taken.
+    The state line is `done,count,num/den,argmax|-,out_bytes,sha256[,n,...]`:
+    the chunks done, the running stats after them (count being the rows
+    written), the output size, the `_seal` of digest (the SHA-256 of the
+    output so far, header included) and of the line's other fields, and
+    the n of each alpha violation.  Both lines go to `<path>.tmp`, which is
+    flushed, fsynced and renamed over path, so a crash leaves the old
+    ledger or the new one; a lost rename only makes a resume redo a chunk.
     """
-    own = [str(f) for f in (*chunk, stats.count, f"{stats.ratio_num}/{stats.ratio_den}",
+    own = [str(f) for f in (done, stats.count, f"{stats.ratio_num}/{stats.ratio_den}",
                              "-" if stats.argmax_n is None else stats.argmax_n, out_bytes)]
     viol = [str(n) for n in stats.violations]
-    line = ",".join([*own, _seal(digest, own + viol), *viol])
-    with open(path, "a", encoding="ascii") as fh:
-        if fh.tell() == 0:  # new, or cut back to nothing from a torn header
-            fh.write(f"{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION} {config_hash}\n")
-        fh.write(line + "\n")
+    with open(path + ".tmp", "w", encoding="ascii") as fh:
+        fh.write(f"{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION} {config_hash}\n")
+        fh.write(",".join([*own, _seal(digest, own + viol), *viol]) + "\n")
         fh.flush()
         os.fsync(fh.fileno())
+    os.replace(path + ".tmp", path)
 
 
 def checkpoint_resume(cfg: ScanConfig, header: str, out_path: str) -> CheckpointState:
@@ -238,13 +238,10 @@ def checkpoint_resume(cfg: ScanConfig, header: str, out_path: str) -> Checkpoint
     resumable state.
 
     The checks run cheapest first: the ledger's first line must name this
-    scan, or else the whole ledger must be a cut-short prefix of that line
-    (empty included), which vouches for no chunk and so starts fresh; each
-    whole line must parse and hold the scan's next chunk; the
-    output must hold every byte the ledger records; and each line's digest
-    must match the output prefix it vouches for.  A final line without its
-    newline is an append torn by a crash: it is left out of the state and
-    its length is reported as torn_bytes.  Neither file is changed.
+    scan; the rest must be one LF-ended state line that parses, with
+    1 <= done <= the scan's chunks; the output must hold at least the bytes
+    the line records; and the line's digest must match that output prefix.
+    Neither file is changed.
     """
     path = cfg.checkpoint_path
     try:
@@ -254,58 +251,48 @@ def checkpoint_resume(cfg: ScanConfig, header: str, out_path: str) -> Checkpoint
         raise CheckpointError(
             f"cannot read checkpoint {path!r}: {exc}; delete the --checkpoint "
             "argument to start fresh") from exc
-    # one character per byte, so the torn tail's length is its length on disk
-    lines = data.decode("ascii", errors="surrogateescape").split("\n")
-    torn = lines.pop()  # "" unless the last append was torn
+    head, _, body = data.decode("ascii", errors="surrogateescape").partition("\n")
     want = f"{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION} {_config_hash(cfg, header)}"
-    if not lines and want.startswith(torn):  # this scan's header, cut short: start fresh
-        return CheckpointState(torn_bytes=len(torn))
-    if lines[:1] != [want]:
+    if head != want:
         raise CheckpointError(
-            f"checkpoint {path!r} has header {lines[0] if lines else torn!r}, expected {want!r}: "
+            f"checkpoint {path!r} has header {head!r}, expected {want!r}: "
             "it was written by another scan or version; fix the arguments or delete it")
-    chunks = _chunks(cfg)
-    state = CheckpointState(torn_bytes=len(torn))
-    sealed = []  # per whole line: (out_bytes, its fields but the digest, the digest)
-    for i, ln in enumerate(lines[1:]):
-        try:
-            cells = ln.split(",")
-            lo, hi, count, ratio, argmax, out_bytes, hexdigest, *viol = cells
-            num, den = ratio.split("/")
-            lo, hi, count, num, den, out_bytes = map(int, (lo, hi, count, num, den, out_bytes))
-            if count < 0 or den < 1 or out_bytes < state.out_bytes:
-                raise ValueError
-            chunk = ScanStats(count, num, den, None if argmax == "-" else int(argmax),
-                              [int(n) for n in viol])
-        except ValueError:
-            raise CheckpointError(f"checkpoint {path!r} has a corrupt ledger line: {ln!r}; "
-                                  "delete it to start fresh") from None
-        if i >= len(chunks) or _span(cfg, chunks[i]) != (lo, hi):
-            raise CheckpointError(
-                f"checkpoint {path!r} chunks do not align with this scan: line {i + 2} "
-                f"holds {lo}..{hi}; delete it to start fresh")
-        state.completed.append((lo, hi))
-        state.stats._merge(chunk)  # the merge a live scan makes after each chunk
-        state.out_bytes = out_bytes
-        sealed.append((out_bytes, cells[:6] + viol, hexdigest))
+    line, lf, rest = body.partition("\n")
+    try:
+        cells = line.split(",")
+        done, count, ratio, argmax, out_bytes, hexdigest, *viol = cells
+        num, den = ratio.split("/")
+        done, count, num, den, out_bytes = map(int, (done, count, num, den, out_bytes))
+        if not lf or rest or count < 0 or den < 1 or out_bytes < 0:
+            raise ValueError
+        stats = ScanStats(count, num, den, None if argmax == "-" else int(argmax),
+                          [int(n) for n in viol])
+    except ValueError:
+        raise CheckpointError(f"checkpoint {path!r} has a corrupt ledger line: {body!r}; "
+                              "delete it to start fresh") from None
+    if not 1 <= done <= len(_chunks(cfg)):
+        raise CheckpointError(
+            f"checkpoint {path!r} chunks do not align with this scan: it records {done} "
+            f"chunks done, and the scan has {len(_chunks(cfg))}; delete it to start fresh")
     if not os.path.exists(out_path):
         raise CheckpointError(
             f"checkpoint {path!r} exists but output {out_path!r} "
             "is missing; delete the checkpoint to start fresh")
     have = os.path.getsize(out_path)
-    if have < state.out_bytes:
+    if have < out_bytes:
         raise CheckpointError(
             f"output {out_path!r} has {have} bytes but checkpoint "
-            f"{path!r} records {state.out_bytes}; delete the "
+            f"{path!r} records {out_bytes}; delete the "
             "checkpoint to start fresh")
+    state = CheckpointState(done, stats, out_bytes)
     with open(out_path, "rb") as out:
-        for (lo, hi), (out_bytes, fields, hexdigest) in zip(state.completed, sealed):
-            state.digest.update(out.read(out_bytes - out.tell()))
-            if _seal(state.digest, fields) != hexdigest:
-                raise CheckpointError(
-                    f"checkpoint {path!r} does not match output {out_path!r} "
-                    f"at chunk {lo}..{hi} (prefix digest differs); delete the "
-                    "checkpoint to start fresh")
+        for pos in range(0, out_bytes, 1 << 16):  # in 64 KiB blocks, so memory stays flat
+            state.digest.update(out.read(min(1 << 16, out_bytes - pos)))
+    if _seal(state.digest, cells[:5] + viol) != hexdigest:
+        raise CheckpointError(
+            f"checkpoint {path!r} does not match output {out_path!r} "
+            f"after chunk {done} (prefix digest differs); delete the "
+            "checkpoint to start fresh")
     return state
 
 
@@ -316,44 +303,42 @@ def run_scan(cfg: ScanConfig, out_path: str, header: str,
 
     format_row maps a raw row tuple (n, s, r, w, word, value, capped) to one
     CSV line without the newline, or None to leave the row out of this
-    schema; the stats count the lines it keeps, so their count, and each
-    ledger line's, is the file's rows.  With max_chunks set, the scan stops
+    schema; the stats count the lines it keeps, so their count, and the
+    ledger's, is the file's rows.  With max_chunks set, the scan stops
     cleanly at a chunk boundary after that many chunks (done=False), which
     is also the supported cancellation point.  Resuming from a checkpoint
     reproduces the uninterrupted file byte for byte, and the same stats,
-    violations included: the ledger holds each chunk's own stats, which
-    resume merges as the live scan did.  A negative max_chunks, or a
-    checkpoint that resolves to out_path, is a DomainError raised before
-    either file is opened.
+    violations included: the ledger holds the running stats after its last
+    chunk.  A negative max_chunks, or an out_path that resolves to the
+    checkpoint or to its side file `<checkpoint>.tmp`, is a DomainError
+    raised before either file is opened.
     """
     if max_chunks is not None and max_chunks < 0:
         raise DomainError(f"max_chunks must be >= 0, got {max_chunks}")
-    if cfg.checkpoint_path and (os.path.realpath(cfg.checkpoint_path)
-                                == os.path.realpath(out_path)):
-        raise DomainError(f"the checkpoint and the output are the same file {out_path!r}")
+    ck = cfg.checkpoint_path
+    if ck and os.path.realpath(out_path) in map(os.path.realpath, (ck, ck + ".tmp")):
+        raise DomainError(f"the checkpoint and the output are the same file {out_path!r}: the "
+                          f"output may be neither the checkpoint nor its side file {ck + '.tmp'!r}")
     chunks = _chunks(cfg)
     cfg_hash = _config_hash(cfg, header)
     state = CheckpointState()
-    if cfg.checkpoint_path and os.path.exists(cfg.checkpoint_path):
+    if ck and os.path.exists(ck):
         state = checkpoint_resume(cfg, header, out_path)
-        if state.torn_bytes:  # cut the torn append, so its chunk is redone
-            os.truncate(cfg.checkpoint_path,
-                        os.path.getsize(cfg.checkpoint_path) - state.torn_bytes)
-    stats, resumed = state.stats, len(state.completed)
-    if resumed:
+    stats, out_bytes, digest = state.stats, state.out_bytes, state.digest
+    if state.done:
         out = open(out_path, "r+b")
-        out.truncate(state.out_bytes)  # drop any partial tail from an unclean stop
-        out.seek(state.out_bytes)
-        out_bytes, digest = state.out_bytes, state.digest
+        out.truncate(out_bytes)  # drop any partial tail from an unclean stop
+        out.seek(out_bytes)
     else:  # no chunk is on the ledger yet, so the output starts over
         out = open(out_path, "wb")
         head = (header + "\n").encode("ascii")
-        out_bytes, digest = out.write(head), hashlib.sha256(head)
+        out_bytes = out.write(head)
+        digest.update(head)
 
-    todo = chunks[resumed:][:max_chunks]
+    todo = chunks[state.done:][:max_chunks]
 
     try:
-        for lo, (rows, chunk_stats) in zip(todo, _chunk_results(cfg, todo)):
+        for done, (rows, chunk_stats) in enumerate(_chunk_results(cfg, todo), state.done + 1):
             lines = (format_row(row) for row in rows)
             payload = "".join(ln + "\n" for ln in lines if ln is not None).encode("ascii")
             chunk_stats.count = payload.count(b"\n")  # the lines kept, not the n walked
@@ -361,10 +346,9 @@ def run_scan(cfg: ScanConfig, out_path: str, header: str,
             out.flush()
             os.fsync(out.fileno())
             stats._merge(chunk_stats)
-            if cfg.checkpoint_path:
+            if ck:
                 digest.update(payload)
-                checkpoint_save(cfg.checkpoint_path, cfg_hash, _span(cfg, lo), chunk_stats,
-                                out_bytes, digest)
+                checkpoint_save(ck, cfg_hash, done, stats, out_bytes, digest)
     finally:
         out.close()
-    return stats, len(todo) == len(chunks) - resumed
+    return stats, len(todo) == len(chunks) - state.done

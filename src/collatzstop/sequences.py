@@ -17,6 +17,8 @@ from fractions import Fraction
 
 from .errors import DomainError, ParseError
 
+WORD_CAP = 10 ** 5  # the longest word `seq` takes: its arithmetic is quadratic in the length
+
 
 @dataclass(frozen=True)
 class ParitySequence:

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from collatzstop import (
-    DomainError, StepLimitError, is_parity_prefix, shortcut_step,
+    DomainError, LimitError, StepLimitError, is_parity_prefix, shortcut_step,
     stopping_record, trajectory,
 )
 
@@ -65,6 +65,14 @@ def test_trajectory_rejects():
         trajectory(0, 5)
     with pytest.raises(DomainError):
         trajectory(5, 0)
+
+
+@pytest.mark.step_cap(10)
+def test_trajectory_limit_is_the_step_cap():
+    # every row is kept, so the one walk cap bounds a trajectory's memory too
+    assert len(trajectory(1, 10)) == 10
+    with pytest.raises(LimitError, match="trajectory limit 11 exceeds the cap 10"):
+        trajectory(1, 11)
 
 
 @given(st.integers(min_value=2, max_value=10 ** 9))

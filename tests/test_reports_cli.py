@@ -461,6 +461,12 @@ _FIG3_19 = "19,4,2,0.562500000000000,0.312500000000000,0.0625000000000000,5.0000
      "row '5,12i+5,2,1,10,4,0\\r' does not re-derive; expected '5,12i+5,2,1,10,4,0'"),
     (_SCAN_2_7[:-1], 7, "line '7,12i+7,7,4,1110100,5,0' does not end in LF"),
     ("n,q,F", 1, "line 'n,q,F' does not end in LF"),
+    # a traj row past the one walk cap, which `traj --limit` cannot pass
+    pytest.param("n,step,value,parity\n1,1,2,1\n1,2,1,0\n1,3,2,1\n", 4,
+                 "trajectory step 3 exceeds the cap 2", marks=pytest.mark.step_cap(2)),
+    # refused before its arithmetic, which is quadratic in the word's length
+    ("q,s,r,weighted_sum,sigma\n" + "1" * 10 ** 6 + ",1000000,1000000,0,0\n", 2,
+     "parity word of length 1000000 exceeds the cap 100000"),
 ], ids=["scan-n-below-2", "scan-zero-steps", "table2-class-12i+4", "fig2-even-n", "table3-wrong-length",
         "traj-past-1", "cycles-negative-alpha", "bounds-zero-alpha", "table1-negative-i",
         "table3-past-census-cap", "cycles-m1-not-integer", "cycles-first-bit-0",
@@ -468,7 +474,7 @@ _FIG3_19 = "19,4,2,0.562500000000000,0.312500000000000,0.0625000000000000,5.0000
         "table4-gap-not-falling", "table4-past-cap", "bounds-past-cap", "scan-row-repeated",
         "fig3-rows-swapped", "scan-last-chunk-twice", "fig2-left-out-row-before-a-fault",
         "fig2-cap-writes-no-row", "table2-crlf", "scan-one-crlf-row", "scan-no-final-newline",
-        "table2-header-only-no-newline"])
+        "table2-header-only-no-newline", "traj-past-step-cap", "seq-past-word-cap"])
 def test_cli_verify_refuses_unproducible_row(tmp_path, capsys, text, line, reason):
     path = tmp_path / "r.csv"
     path.write_text(text)
@@ -532,6 +538,9 @@ def test_cli_verify_empty_file(tmp_path, capsys):
     (["seq", "1" * 10000], f"more than {sys.get_int_max_str_digits()} digits"),
     (["traj", str(2 ** 14000 - 1), "--limit", "20000"],
      f"more than {sys.get_int_max_str_digits()} digits"),
+    (["seq", "1" * 10 ** 6, "--apply", "7"], "parity word of length 1000000 exceeds the cap 100000"),
+    pytest.param(["traj", "1", "--limit", "11"], "trajectory limit 11 exceeds the cap 10",
+                 marks=pytest.mark.step_cap(10)),
 ])
 def test_cli_out_of_domain_arguments_write_nothing(tmp_path, capsys, argv, reason):
     out = tmp_path / "o.csv"

@@ -16,7 +16,6 @@ import collatzstop.scan as scan_mod
 from collatzstop import core
 from collatzstop.cli import main
 from collatzstop.reports import _SCAN_HEADER, scan_to_csv
-from collatzstop.scan import CheckpointState
 
 
 def test_single_value_scan():
@@ -178,8 +177,7 @@ def test_scan_resume_byte_identical(tmp_path):
                               str(part), max_chunks=3)
     assert not done
     state = checkpoint_resume(ScanConfig(**cfg, checkpoint_path=str(ck)), _SCAN_HEADER, str(part))
-    assert len(state.completed) == 3
-    assert state.completed[-1] == (2002, 3001)
+    assert (state.done, state.stats.count, state.out_bytes) == (3, 3000, part.stat().st_size)
 
     stats2, done2 = scan_to_csv("scan", ScanConfig(**cfg, checkpoint_path=str(ck)), str(part))
     assert done2
@@ -215,8 +213,12 @@ def test_resume_truncates_partial_tail(tmp_path):
     part = tmp_path / "part.csv"
     ck = tmp_path / "part.ck"
     scan_to_csv("scan", ScanConfig(**cfg, checkpoint_path=str(ck)), str(part), max_chunks=2)
+    size = part.stat().st_size
     with open(part, "ab") as fh:
         fh.write(b"999999,torn row")  # unclean stop wrote garbage past the ledger
+    # a resume that runs no chunk drops the tail too
+    scan_to_csv("scan", ScanConfig(**cfg, checkpoint_path=str(ck)), str(part), max_chunks=0)
+    assert part.stat().st_size == size
     scan_to_csv("scan", ScanConfig(**cfg, checkpoint_path=str(ck)), str(part))
     assert _csv_bytes(part) == _csv_bytes(whole)
 
@@ -232,41 +234,6 @@ def test_resume_refuses_short_output(tmp_path, capsys):
     assert "checkpoint error" in capsys.readouterr().err
     assert out.stat().st_size == 3000
     assert b"\0" not in out.read_bytes()
-
-
-@pytest.mark.parametrize("done", [1, 2])  # with 1, the torn line was the ledger's first
-def test_resume_drops_torn_ledger_line(tmp_path, capsys, done):
-    whole = tmp_path / "whole.csv"
-    assert main(["scan", "--end", "3000", "--chunk-size", "1000", "--out", str(whole)]) == 0
-    want_summary = capsys.readouterr().out
-
-    out, ck = tmp_path / "w.csv", tmp_path / "w.ck"
-    argv = ["scan", "--end", "3000", "--chunk-size", "1000",
-            "--out", str(out), "--checkpoint", str(ck)]
-    assert main(argv + ["--max-chunks", str(done)]) == 0
-    capsys.readouterr()
-    os.truncate(ck, ck.stat().st_size - 3)  # a crash cut the last append short
-    assert main(argv) == 0
-    assert capsys.readouterr().out == want_summary
-    assert out.read_bytes() == whole.read_bytes()
-    assert ck.read_text().endswith("\n")
-    cfg = ScanConfig(start=2, end=3000, chunk_size=1000, checkpoint_path=str(ck))
-    assert len(checkpoint_resume(cfg, _SCAN_HEADER, str(out)).completed) == 3
-
-
-def test_rejected_resume_leaves_torn_ledger_alone(tmp_path):
-    out, ck = tmp_path / "t.csv", tmp_path / "t.ck"
-    cfg = ScanConfig(start=2, end=3000, chunk_size=500, checkpoint_path=str(ck))
-    scan_to_csv("scan", cfg, str(out), max_chunks=2)
-    os.truncate(ck, ck.stat().st_size - 3)
-    torn = ck.read_bytes()
-    assert checkpoint_resume(cfg, _SCAN_HEADER, str(out)).torn_bytes == \
-        len(torn) - len(torn.rstrip(b"0123456789abcdef,/-"))
-    assert ck.read_bytes() == torn
-    with pytest.raises(CheckpointError):
-        scan_to_csv("scan", ScanConfig(start=2, end=4000, chunk_size=500,
-                                       checkpoint_path=str(ck)), str(out))
-    assert ck.read_bytes() == torn
 
 
 def test_resume_rejects_mismatched_config(tmp_path):
@@ -292,11 +259,11 @@ def test_resume_with_other_arguments_names_the_header(tmp_path, capsys):
     assert not out.exists() and ck.read_bytes() == before
 
 
-@pytest.mark.parametrize("spelling", ["same", "dotdot", "symlink"])
+@pytest.mark.parametrize("spelling", ["same", "dotdot", "symlink", "side-file"])
 def test_checkpoint_path_equal_to_out_is_refused(tmp_path, capsys, spelling):
-    out = tmp_path / "same.csv"
+    out = tmp_path / ("same.ck.tmp" if spelling == "side-file" else "same.csv")
     ck = {"same": out, "dotdot": tmp_path / "d" / ".." / "same.csv",
-          "symlink": tmp_path / "link.csv"}[spelling]
+          "symlink": tmp_path / "link.csv", "side-file": tmp_path / "same.ck"}[spelling]
     (tmp_path / "d").mkdir()
     (tmp_path / "link.csv").symlink_to(out)
     argv = ["scan", "--end", "3000", "--chunk-size", "1000", "--out", str(out),
@@ -312,8 +279,9 @@ def test_resume_rejects_corrupt_checkpoint(tmp_path):
     ck.write_text("not a checkpoint\n")
     with pytest.raises(CheckpointError):
         checkpoint_resume(cfg, _SCAN_HEADER, out)
-    ck.write_text("")  # an empty ledger vouches for no chunk: a fresh start
-    assert checkpoint_resume(cfg, _SCAN_HEADER, out) == CheckpointState()
+    ck.write_text("")  # a crash never leaves an empty ledger, so it is refused too
+    with pytest.raises(CheckpointError, match="has header ''"):
+        checkpoint_resume(cfg, _SCAN_HEADER, out)
     with pytest.raises(CheckpointError):
         checkpoint_resume(ScanConfig(start=2, end=10, checkpoint_path=str(tmp_path / "missing.ck")),
                           _SCAN_HEADER, out)
@@ -376,14 +344,16 @@ def test_a_resumed_fig2_prints_the_uninterrupted_summary(tmp_path, capsys):
     want = capsys.readouterr().out
     assert want.startswith("rows=1499 ") and want.endswith(" complete=1\n")
 
-    resumed = argv + ["--out", str(tmp_path / "r.csv"), "--checkpoint", str(tmp_path / "r.ck")]
+    ck = tmp_path / "r.ck"
+    resumed = argv + ["--out", str(tmp_path / "r.csv"), "--checkpoint", str(ck)]
     assert main(resumed + ["--max-chunks", "2"]) == 0
     assert capsys.readouterr().out.startswith("rows=500 ")  # the odd n of 3..1002
+    assert ck.read_text().splitlines()[1].split(",")[:2] == ["2", "500"]
     assert main(resumed) == 0
     assert capsys.readouterr().out == want
     assert (tmp_path / "r.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
-    assert [ln.split(",")[2] for ln in (tmp_path / "r.ck").read_text().splitlines()[1:]] \
-        == ["250"] * 5 + ["249"]  # each ledger line counts the rows its chunk wrote
+    # the state line counts the rows the file holds after its chunks
+    assert ck.read_text().splitlines()[1].split(",")[:2] == ["6", "1499"]
 
 
 def _ledger_scan(tmp_path, done):
@@ -404,10 +374,11 @@ def _assert_refused(argv, out, ck, capsys):
     return err
 
 
-# fields of a ledger line: lo,hi,count,num/den,argmax,out_bytes,sha256; None drops the field
+# fields of the state line: done,count,num/den,argmax,out_bytes,sha256; None drops the field
 @pytest.mark.parametrize("field,value", [
-    (0, "a"), (1, "a"), (2, "a"), (3, "a/1"), (3, "1/a"), (4, "a"), (5, "a"),
-    (3, "5"), (3, "5/0"), (2, "-1"), (5, "-1"), (3, None),
+    (0, "a"), (1, "a"), (2, "a"), (2, "a/1"), (2, "1/a"), (3, "a"), (4, "a"),
+    (2, "5"), (2, "-1"), (2, "5/0"), (1, "-1"), (4, "-1"), (3, None),
+    (3, "a/1"), (3, "1/a"), (3, "5/0"),
 ])
 def test_resume_refuses_corrupt_ledger_field(tmp_path, capsys, field, value):
     argv, out, ck = _ledger_scan(tmp_path, 2)
@@ -421,66 +392,58 @@ def test_resume_refuses_corrupt_ledger_field(tmp_path, capsys, field, value):
     assert "corrupt ledger line" in _assert_refused(argv, out, ck, capsys)
 
 
-def _write_sealed(ck, out, lines):
-    """Write ledger lines with each line's digest recomputed by the v3 rule:
-    a running SHA-256 over the output up to the line's out_bytes, then the
-    line's other fields joined by commas with a newline."""
-    data, digest, pos = out.read_bytes(), hashlib.sha256(), 0
-    sealed = lines[:1]
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        own = cells[:6] + cells[7:]
-        digest.update(data[pos:int(cells[5])])
-        pos = int(cells[5])
-        digest.update((",".join(own) + "\n").encode("ascii"))
-        sealed.append(",".join(cells[:6] + [digest.hexdigest()] + cells[7:]))
-    ck.write_text("\n".join(sealed) + "\n")
-
-
-@pytest.mark.parametrize("line,lo,reason", [
-    (2, 1003, "do not align"),            # the second chunk does not follow the first
-    (1, 3, "do not align"),               # contiguous, but not this scan's chunks
-])
-def test_resume_refuses_misplaced_chunks(tmp_path, capsys, line, lo, reason):
+# a crash leaves the old ledger or the new one whole, so any other shape is damage
+@pytest.mark.parametrize("edit", [
+    lambda b: b[:-1],                     # the state line without its LF
+    lambda b: b[:-3],                     # cut mid-line
+    lambda b: b + b.split(b"\n")[1] + b"\n",  # a second state line
+], ids=["cut-lf", "cut-mid-line", "two-state-lines"])
+def test_resume_refuses_a_ledger_of_another_shape(tmp_path, capsys, edit):
     argv, out, ck = _ledger_scan(tmp_path, 2)
-    lines = ck.read_text().splitlines()
-    lines[line] = f"{lo}," + lines[line].split(",", 1)[1]
-    _write_sealed(ck, out, lines)  # a whole, well-sealed ledger that is still wrong
-    assert reason in _assert_refused(argv, out, ck, capsys)
+    ck.write_bytes(edit(ck.read_bytes()))
+    assert "corrupt ledger line" in _assert_refused(argv, out, ck, capsys)
 
 
-def test_resume_refuses_chunk_past_the_end(tmp_path, capsys):
-    argv, out, ck = _ledger_scan(tmp_path, 3)
-    lines = ck.read_text().splitlines()
-    lines.append("3001,4000," + lines[-1].split(",", 2)[2])  # contiguous, past the end
-    _write_sealed(ck, out, lines)
+def _write_sealed(ck, out, lines):
+    """Write the header and the state line with its digest recomputed by the
+    v5 rule: the SHA-256 of the output's first out_bytes bytes, then the
+    line's other fields joined by commas with a newline."""
+    head, state = lines
+    cells = state.split(",")
+    own = cells[:5] + cells[6:]
+    digest = hashlib.sha256(out.read_bytes()[:int(cells[4])])
+    digest.update((",".join(own) + "\n").encode("ascii"))
+    ck.write_text(f"{head}\n" + ",".join(cells[:5] + [digest.hexdigest()] + cells[6:]) + "\n")
+
+
+def _set_done(ck, out, done):
+    head, state = ck.read_text().splitlines()
+    _write_sealed(ck, out, [head, f"{done}," + state.split(",", 1)[1]])
+
+
+@pytest.mark.parametrize("done", [0, -1])
+def test_resume_refuses_misplaced_chunks(tmp_path, capsys, done):
+    argv, out, ck = _ledger_scan(tmp_path, 2)
+    _set_done(ck, out, done)  # a whole, well-sealed ledger that is still wrong
     assert "do not align" in _assert_refused(argv, out, ck, capsys)
 
 
-def test_resume_refuses_v1_ledger(tmp_path, capsys):
+def test_resume_refuses_chunk_past_the_end(tmp_path, capsys):
+    argv, out, ck = _ledger_scan(tmp_path, 3)  # all 3 chunks
+    _set_done(ck, out, 4)
+    assert "do not align" in _assert_refused(argv, out, ck, capsys)
+
+
+# v1 kept running totals and no violations, v2 no digest, v3 counted the n a
+# chunk walked, v4 appended a line per chunk: each is refused at its header
+@pytest.mark.parametrize("version", ["v1", "v2", "v3", "v4"])
+def test_resume_refuses_an_older_ledger(tmp_path, capsys, version):
     argv, out, ck = _ledger_scan(tmp_path, 1)
     head, rest = ck.read_text().split("\n", 1)
     magic, _, cfg_hash = head.split()
-    ck.write_text(f"{magic} v1 {cfg_hash}\n{rest}")
-    assert repr(f"{magic} v1 {cfg_hash}") in _assert_refused(argv, out, ck, capsys)
-
-
-def test_resume_refuses_v2_ledger(tmp_path, capsys):
-    argv, out, ck = _ledger_scan(tmp_path, 1)
-    head, rest = ck.read_text().split("\n", 1)
-    magic, _, cfg_hash = head.split()
-    ck.write_text(f"{magic} v2 {cfg_hash}\n{rest}")
-    assert repr(f"{magic} v2 {cfg_hash}") in _assert_refused(argv, out, ck, capsys)
-
-
-def test_resume_refuses_v3_ledger(tmp_path, capsys):
-    # a v3 ledger line counts the n its chunk walked, not the rows it wrote
-    argv, out, ck = _ledger_scan(tmp_path, 1)
-    head, rest = ck.read_text().split("\n", 1)
-    magic, _, cfg_hash = head.split()
-    ck.write_text(f"{magic} v3 {cfg_hash}\n{rest}")
+    ck.write_text(f"{magic} {version} {cfg_hash}\n{rest}")
     err = _assert_refused(argv, out, ck, capsys)
-    assert repr(f"{magic} v3 {cfg_hash}") in err and repr(head) in err
+    assert repr(f"{magic} {version} {cfg_hash}") in err and repr(head) in err
 
 
 def test_resume_refuses_a_ledger_written_under_another_step_cap(tmp_path, capsys, monkeypatch):
@@ -494,13 +457,15 @@ def test_resume_refuses_a_ledger_written_under_another_step_cap(tmp_path, capsys
 
 
 def test_resume_refuses_ledger_that_is_no_header_prefix(tmp_path, capsys):
-    # only a cut-short header of this scan starts fresh; other partial lines are refused
+    # a ledger without its whole header is refused, this scan's header cut short too
     argv, out, ck = _ledger_scan(tmp_path, 2)
-    ck.write_bytes(b"hello")
-    assert "has header 'hello'" in _assert_refused(argv, out, ck, capsys)
+    head = ck.read_text().split("\n", 1)[0]
+    for cut in (b"hello", head[:-1].encode()):
+        ck.write_bytes(cut)
+        assert f"has header {cut.decode()!r}" in _assert_refused(argv, out, ck, capsys)
 
 
-def test_ledger_is_sealed_by_the_v3_rule(tmp_path):
+def test_ledger_is_sealed_by_the_v5_rule(tmp_path):
     _, out, ck = _ledger_scan(tmp_path, 2)
     lines = ck.read_text().splitlines()
     _write_sealed(ck, out, lines)
@@ -516,12 +481,13 @@ def _edit_last_line(ck, edit):
 
 # whole lines that parse but are not what the scan wrote: each must be refused
 @pytest.mark.parametrize("edit", [
-    lambda c: c.__setitem__(5, str(int(c[5]) - 40)),   # out_bytes lowered by 40
-    lambda c: c.__setitem__(2, str(int(c[2]) + 1)),    # count
-    lambda c: c.__setitem__(3, "1/1"),                 # ratio
-    lambda c: c.__setitem__(4, "7"),                   # argmax
+    lambda c: c.__setitem__(4, str(int(c[4]) - 40)),   # out_bytes lowered by 40
+    lambda c: c.__setitem__(1, str(int(c[1]) + 1)),    # count
+    lambda c: c.__setitem__(2, "1/1"),                 # ratio
+    lambda c: c.__setitem__(3, "7"),                   # argmax
     lambda c: c.append("5"),                           # an appended violation n
-], ids=["out_bytes-40", "count", "ratio", "argmax", "violation"])
+    lambda c: c.__setitem__(0, "1"),                   # done, at the output size of 2
+], ids=["out_bytes-40", "count", "ratio", "argmax", "violation", "done"])
 def test_resume_refuses_edited_ledger_line(tmp_path, capsys, edit):
     argv, out, ck = _ledger_scan(tmp_path, 2)
     _edit_last_line(ck, edit)
