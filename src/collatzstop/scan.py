@@ -263,7 +263,8 @@ def checkpoint_resume(cfg: ScanConfig, header: str, out_path: str) -> Checkpoint
         done, count, ratio, argmax, out_bytes, hexdigest, *viol = cells
         num, den = ratio.split("/")
         done, count, num, den, out_bytes = map(int, (done, count, num, den, out_bytes))
-        if not lf or rest or count < 0 or den < 1 or out_bytes < 0:
+        if (not lf or rest or count < 0 or den < 1 or out_bytes < 0
+                or len(hexdigest) != 64 or hexdigest.strip("0123456789abcdef")):
             raise ValueError
         stats = ScanStats(count, num, den, None if argmax == "-" else int(argmax),
                           [int(n) for n in viol])

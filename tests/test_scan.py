@@ -378,7 +378,7 @@ def _assert_refused(argv, out, ck, capsys):
 @pytest.mark.parametrize("field,value", [
     (0, "a"), (1, "a"), (2, "a"), (2, "a/1"), (2, "1/a"), (3, "a"), (4, "a"),
     (2, "5"), (2, "-1"), (2, "5/0"), (1, "-1"), (4, "-1"), (3, None),
-    (3, "a/1"), (3, "1/a"), (3, "5/0"),
+    (3, "a/1"), (3, "1/a"), (3, "5/0"), (5, "a"),
 ])
 def test_resume_refuses_corrupt_ledger_field(tmp_path, capsys, field, value):
     argv, out, ck = _ledger_scan(tmp_path, 2)
