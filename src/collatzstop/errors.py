@@ -23,6 +23,15 @@ def check_cap(what: str, value: int, cap: int) -> None:
         raise LimitError(f"{what} {value} exceeds the cap {cap}")
 
 
+def quote(text: str) -> str:
+    """The repr of text's first 100 characters, followed by text's whole
+    length when it is longer: how a message quotes a file's content, so the
+    message stays one short line whatever the file holds."""
+    if len(text) <= 100:
+        return repr(text)
+    return f"{text[:100]!r}... ({len(text)} characters)"
+
+
 class StepLimitError(LimitError):
     """A walk hit its step cap before descending.
 
@@ -47,3 +56,4 @@ class CycleDetectedError(CollatzStopError, ArithmeticError):
 
 class CheckpointError(CollatzStopError):
     """A scan checkpoint is missing, corrupt, or does not match the scan."""
+

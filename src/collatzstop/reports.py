@@ -40,7 +40,7 @@ from . import scan as scn
 # perfbench/tracing.py wraps that name when it times a run
 from .core import (_iterates, descend, is_parity_prefix, stopping_record,  # noqa: F401
                    trajectory)
-from .errors import DomainError, LimitError, check_cap
+from .errors import DomainError, LimitError, check_cap, quote
 from .sequences import (WORD_CAP, ParitySequence, apply_closed_form, lower_unit_numerator,
                         parse_sequence, sigma, weighted_sum, word_bits)
 
@@ -516,18 +516,18 @@ def verify_csv(path: str) -> int:
         header = line.rstrip("\n")
         kind, rule = _KIND_OF.get(header), rederive.get(header)
         if kind is None and rule is None:
-            raise VerifyError(f"{path}:1: unrecognized header {header!r}")
+            raise VerifyError(f"{path}:1: unrecognized header {quote(header)}")
         row_of = _replayed(kind, path) if kind else lambda got: csv_line(rule(got.split(",")))
         for line_no, line in enumerate(fh, 2):
             got = line.rstrip("\n")
             try:
                 want = row_of(got)
             except (ValueError, IndexError, ArithmeticError, LimitError) as exc:
-                raise VerifyError(f"{path}:{line_no}: cannot re-derive row {got!r}: "
+                raise VerifyError(f"{path}:{line_no}: cannot re-derive row {quote(got)}: "
                                   f"{exc}") from None
             if got != want:
-                raise VerifyError(f"{path}:{line_no}: row {got!r} does not re-derive; "
-                                  f"expected {want!r}")
+                raise VerifyError(f"{path}:{line_no}: row {quote(got)} does not re-derive; "
+                                  f"expected {quote(want)}")
         if not line.endswith("\n"):  # the last line, the header when no row follows
-            raise VerifyError(f"{path}:{line_no}: line {line!r} does not end in LF")
+            raise VerifyError(f"{path}:{line_no}: line {quote(line)} does not end in LF")
     return line_no - 1

@@ -8,7 +8,10 @@ interrupted scan resume and produce byte-identical remaining output: the
 chunks done, the scan's running stats, the output size and a SHA-256 of
 that output prefix and the snapshot's other fields.  The snapshot is
 written to a side file and renamed over the old one, so a crash leaves the
-old snapshot or the new one, never a mix.
+old snapshot or the new one, never a mix; the checkpoint path is resolved
+first, so a symbolic link keeps pointing at the ledger it names.  A fresh
+scan is a resume from the empty snapshot (no chunk, no stats, no output
+byte), so every run opens, truncates and extends its output one way.
 Workers return raw kernel rows; `scan_range` turns each into its record
 with `core._record`, the one builder `stopping_record` uses too.  Chunks
 are a range of their first n, so a scan builds no chunk before it runs it.
@@ -25,11 +28,11 @@ import multiprocessing
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NoReturn
 
 from . import core  # core.DEFAULT_STEP_CAP is read at each scan, so it caps every walk
 from .core import CappedWalk, StoppingRecord, _record, walk as _scan_one  # walks every scanned and verified row
-from .errors import CheckpointError, DomainError
+from .errors import CheckpointError, DomainError, quote
 from .bounds import ALPHA  # the envelope checked during scans; tests patch scan.ALPHA
 from .sequences import lower_unit_numerator, weighted_sum
 
@@ -191,15 +194,6 @@ def _config_hash(cfg: ScanConfig, header: str) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-@dataclass
-class CheckpointState:
-    done: int = 0  # chunks done
-    stats: ScanStats = field(default_factory=ScanStats)
-    out_bytes: int = 0
-    # the SHA-256 of the output's first out_bytes bytes, which later chunks continue
-    digest: object = field(default_factory=hashlib.sha256, repr=False, compare=False)
-
-
 def _seal(digest, fields: list[str]) -> str:
     """The hex SHA-256 of the output prefix that digest has taken, followed
     by the state line's fields but its digest, joined by commas and ended by
@@ -232,16 +226,20 @@ def checkpoint_save(path: str, config_hash: str, done: int,
     os.replace(path + ".tmp", path)
 
 
-def checkpoint_resume(cfg: ScanConfig, header: str, out_path: str) -> CheckpointState:
+def checkpoint_resume(cfg: ScanConfig, header: str,
+                      out_path: str) -> tuple[int, ScanStats, int, object]:
     """Decide whether the ledger at cfg.checkpoint_path resumes this scan,
-    writing the `header` schema to out_path, and parse it back into
-    resumable state.
+    writing the `header` schema to out_path, and return what the resume
+    continues from: (chunks done, the running stats after them, the output
+    size, the SHA-256 of that output prefix).  A fresh scan starts from
+    (0, ScanStats(), 0, hashlib.sha256()).
 
     The checks run cheapest first: the ledger's first line must name this
     scan; the rest must be one LF-ended state line that parses, with
     1 <= done <= the scan's chunks; the output must hold at least the bytes
     the line records; and the line's digest must match that output prefix.
-    Neither file is changed.
+    Each check after the header refuses in one form, which says to delete
+    the ledger.  Neither file is changed.
     """
     path = cfg.checkpoint_path
     try:
@@ -255,8 +253,12 @@ def checkpoint_resume(cfg: ScanConfig, header: str, out_path: str) -> Checkpoint
     want = f"{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION} {_config_hash(cfg, header)}"
     if head != want:
         raise CheckpointError(
-            f"checkpoint {path!r} has header {head!r}, expected {want!r}: "
+            f"checkpoint {path!r} has header {quote(head)}, expected {want!r}: "
             "it was written by another scan or version; fix the arguments or delete it")
+
+    def refuse(reason: str) -> NoReturn:
+        raise CheckpointError(f"checkpoint {path!r} {reason}; delete it to start fresh") from None
+
     line, lf, rest = body.partition("\n")
     try:
         cells = line.split(",")
@@ -269,32 +271,22 @@ def checkpoint_resume(cfg: ScanConfig, header: str, out_path: str) -> Checkpoint
         stats = ScanStats(count, num, den, None if argmax == "-" else int(argmax),
                           [int(n) for n in viol])
     except ValueError:
-        raise CheckpointError(f"checkpoint {path!r} has a corrupt ledger line: {body!r}; "
-                              "delete it to start fresh") from None
+        refuse(f"has a corrupt ledger line: {quote(body)}")
     if not 1 <= done <= len(_chunks(cfg)):
-        raise CheckpointError(
-            f"checkpoint {path!r} chunks do not align with this scan: it records {done} "
-            f"chunks done, and the scan has {len(_chunks(cfg))}; delete it to start fresh")
+        refuse(f"chunks do not align with this scan: it records {done} chunks done, "
+               f"and the scan has {len(_chunks(cfg))}")
     if not os.path.exists(out_path):
-        raise CheckpointError(
-            f"checkpoint {path!r} exists but output {out_path!r} "
-            "is missing; delete the checkpoint to start fresh")
+        refuse(f"exists but output {out_path!r} is missing")
     have = os.path.getsize(out_path)
     if have < out_bytes:
-        raise CheckpointError(
-            f"output {out_path!r} has {have} bytes but checkpoint "
-            f"{path!r} records {out_bytes}; delete the "
-            "checkpoint to start fresh")
-    state = CheckpointState(done, stats, out_bytes)
+        refuse(f"records {out_bytes} output bytes, but output {out_path!r} has {have}")
+    digest = hashlib.sha256()
     with open(out_path, "rb") as out:
         for pos in range(0, out_bytes, 1 << 16):  # in 64 KiB blocks, so memory stays flat
-            state.digest.update(out.read(min(1 << 16, out_bytes - pos)))
-    if _seal(state.digest, cells[:5] + viol) != hexdigest:
-        raise CheckpointError(
-            f"checkpoint {path!r} does not match output {out_path!r} "
-            f"after chunk {done} (prefix digest differs); delete the "
-            "checkpoint to start fresh")
-    return state
+            digest.update(out.read(min(1 << 16, out_bytes - pos)))
+    if _seal(digest, cells[:5] + viol) != hexdigest:
+        refuse(f"does not match output {out_path!r} after chunk {done} (prefix digest differs)")
+    return done, stats, out_bytes, digest
 
 
 def run_scan(cfg: ScanConfig, out_path: str, header: str,
@@ -310,36 +302,35 @@ def run_scan(cfg: ScanConfig, out_path: str, header: str,
     is also the supported cancellation point.  Resuming from a checkpoint
     reproduces the uninterrupted file byte for byte, and the same stats,
     violations included: the ledger holds the running stats after its last
-    chunk.  A negative max_chunks, or an out_path that resolves to the
-    checkpoint or to its side file `<checkpoint>.tmp`, is a DomainError
-    raised before either file is opened.
+    chunk.  The checkpoint path is resolved once, so the side file sits
+    beside a link's target and the rename replaces the target.  A negative
+    max_chunks, or an out_path that resolves to the checkpoint or to its
+    side file `<checkpoint>.tmp`, is a DomainError raised before either
+    file is opened.
     """
     if max_chunks is not None and max_chunks < 0:
         raise DomainError(f"max_chunks must be >= 0, got {max_chunks}")
-    ck = cfg.checkpoint_path
+    ck = cfg.checkpoint_path and os.path.realpath(cfg.checkpoint_path)  # a link stays a link
     if ck and os.path.realpath(out_path) in map(os.path.realpath, (ck, ck + ".tmp")):
         raise DomainError(f"the checkpoint and the output are the same file {out_path!r}: the "
                           f"output may be neither the checkpoint nor its side file {ck + '.tmp'!r}")
     chunks = _chunks(cfg)
     cfg_hash = _config_hash(cfg, header)
-    state = CheckpointState()
+    done, stats, out_bytes, digest = 0, ScanStats(), 0, hashlib.sha256()  # the empty snapshot
     if ck and os.path.exists(ck):
-        state = checkpoint_resume(cfg, header, out_path)
-    stats, out_bytes, digest = state.stats, state.out_bytes, state.digest
-    if state.done:
-        out = open(out_path, "r+b")
-        out.truncate(out_bytes)  # drop any partial tail from an unclean stop
-        out.seek(out_bytes)
-    else:  # no chunk is on the ledger yet, so the output starts over
-        out = open(out_path, "wb")
+        done, stats, out_bytes, digest = checkpoint_resume(cfg, header, out_path)
+    out = open(out_path, "r+b" if done else "wb")
+    out.truncate(out_bytes)  # drop any partial tail from an unclean stop
+    out.seek(out_bytes)
+    if not done:  # no chunk is on the ledger yet, so the output starts with its header
         head = (header + "\n").encode("ascii")
         out_bytes = out.write(head)
         digest.update(head)
 
-    todo = chunks[state.done:][:max_chunks]
+    todo = chunks[done:][:max_chunks]
 
     try:
-        for done, (rows, chunk_stats) in enumerate(_chunk_results(cfg, todo), state.done + 1):
+        for k, (rows, chunk_stats) in enumerate(_chunk_results(cfg, todo), done + 1):
             lines = (format_row(row) for row in rows)
             payload = "".join(ln + "\n" for ln in lines if ln is not None).encode("ascii")
             chunk_stats.count = payload.count(b"\n")  # the lines kept, not the n walked
@@ -349,7 +340,7 @@ def run_scan(cfg: ScanConfig, out_path: str, header: str,
             stats._merge(chunk_stats)
             if ck:
                 digest.update(payload)
-                checkpoint_save(ck, cfg_hash, done, stats, out_bytes, digest)
+                checkpoint_save(ck, cfg_hash, k, stats, out_bytes, digest)
     finally:
         out.close()
-    return stats, len(todo) == len(chunks) - state.done
+    return stats, len(todo) == len(chunks) - done

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, quote
 
 WORD_CAP = 10 ** 5  # the longest word `seq` takes: its arithmetic is quadratic in the length
 
@@ -30,7 +30,7 @@ class ParitySequence:
         if not self.bits:
             raise ParseError("parity word must be nonempty")
         if self.bits.strip("01"):
-            raise ParseError(f"parity word may only contain 1 and 0: {self.bits!r}")
+            raise ParseError(f"parity word may only contain 1 and 0: {quote(self.bits)}")
 
     @property
     def s(self) -> int:

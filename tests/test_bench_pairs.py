@@ -66,6 +66,9 @@ def test_wide_parent_spread_is_unresolved():
     got = summary(parent, parent)
     assert got["parent_iqr"] > 0.25 * got["parent_median"]
     assert got["status"] == "unresolved"
+    # a median past the bound reads unresolved too while the parent's spread is wider
+    got = summary(parent, [v * 0.7 for v in parent])
+    assert got["change"] < -0.25 and got["status"] == "unresolved"
 
 
 def test_ties_count_for_neither_side():

@@ -12,8 +12,10 @@ Equal"):
   first), the output cut at every byte of that chunk's payload, and the
   side file absent, empty, cut in half or whole (the next snapshot);
 - stopped runs: a forked child ends just before its k-th open, write,
-  flush, fsync, truncate or replace, for every k, as `scan` sees those
-  calls through its module names `open` and `os`.
+  flush, fsync, truncate, seek or replace, for every k, as `scan` sees
+  those calls through its module names `open` and `os`; a fresh run
+  truncates and seeks its output as a resume does, so both starts are
+  swept.
 """
 
 import contextlib
@@ -126,7 +128,7 @@ class _Gated:
 
 def _stop_before(k):
     """Make `scan` end this process, unflushed, just before its k-th open,
-    write, flush, fsync, truncate or replace."""
+    write, flush, fsync, truncate, seek or replace."""
     calls = iter(range(1, k))
 
     def gate(fn):
@@ -138,7 +140,7 @@ def _stop_before(k):
 
     scan.os = _Gated(os, gate, ("fsync", "replace"))
     scan.open = lambda *args, **kwargs: _Gated(gate(open)(*args, **kwargs), gate,
-                                               ("write", "flush", "truncate"))
+                                               ("write", "flush", "truncate", "seek"))
 
 
 def _stopped_run(d, k):

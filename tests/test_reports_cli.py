@@ -467,6 +467,10 @@ _FIG3_19 = "19,4,2,0.562500000000000,0.312500000000000,0.0625000000000000,5.0000
     # refused before its arithmetic, which is quadratic in the word's length
     ("q,s,r,weighted_sum,sigma\n" + "1" * 10 ** 6 + ",1000000,1000000,0,0\n", 2,
      "parity word of length 1000000 exceeds the cap 100000"),
+    # file content is quoted to its first 100 characters, with its length
+    ("q,s,r,weighted_sum,sigma\n" + "2" * 10 ** 6 + ",1,0,0,0\n", 2,
+     f"row '{'2' * 100}'... (1000008 characters): parity word may only contain 1 and 0: "
+     f"'{'2' * 100}'... (1000000 characters)\n"),
 ], ids=["scan-n-below-2", "scan-zero-steps", "table2-class-12i+4", "fig2-even-n", "table3-wrong-length",
         "traj-past-1", "cycles-negative-alpha", "bounds-zero-alpha", "table1-negative-i",
         "table3-past-census-cap", "cycles-m1-not-integer", "cycles-first-bit-0",
@@ -474,7 +478,8 @@ _FIG3_19 = "19,4,2,0.562500000000000,0.312500000000000,0.0625000000000000,5.0000
         "table4-gap-not-falling", "table4-past-cap", "bounds-past-cap", "scan-row-repeated",
         "fig3-rows-swapped", "scan-last-chunk-twice", "fig2-left-out-row-before-a-fault",
         "fig2-cap-writes-no-row", "table2-crlf", "scan-one-crlf-row", "scan-no-final-newline",
-        "table2-header-only-no-newline", "traj-past-step-cap", "seq-past-word-cap"])
+        "table2-header-only-no-newline", "traj-past-step-cap", "seq-past-word-cap",
+        "seq-long-foreign-word"])
 def test_cli_verify_refuses_unproducible_row(tmp_path, capsys, text, line, reason):
     path = tmp_path / "r.csv"
     path.write_text(text)
@@ -482,6 +487,7 @@ def test_cli_verify_refuses_unproducible_row(tmp_path, capsys, text, line, reaso
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}:{line}: ")
     assert reason in err
+    assert err.count("\n") == 1 and len(err) < 1024  # one short line, whatever the file holds
 
 
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])

@@ -1,5 +1,4 @@
 import hashlib
-import os
 import tracemalloc
 from fractions import Fraction
 
@@ -176,8 +175,10 @@ def test_scan_resume_byte_identical(tmp_path):
     stats, done = scan_to_csv("scan", ScanConfig(**cfg, checkpoint_path=str(ck)),
                               str(part), max_chunks=3)
     assert not done
-    state = checkpoint_resume(ScanConfig(**cfg, checkpoint_path=str(ck)), _SCAN_HEADER, str(part))
-    assert (state.done, state.stats.count, state.out_bytes) == (3, 3000, part.stat().st_size)
+    done, stats, out_bytes, digest = checkpoint_resume(
+        ScanConfig(**cfg, checkpoint_path=str(ck)), _SCAN_HEADER, str(part))
+    assert (done, stats.count, out_bytes) == (3, 3000, part.stat().st_size)
+    assert digest.hexdigest() == hashlib.sha256(part.read_bytes()).hexdigest()
 
     stats2, done2 = scan_to_csv("scan", ScanConfig(**cfg, checkpoint_path=str(ck)), str(part))
     assert done2
@@ -224,16 +225,12 @@ def test_resume_truncates_partial_tail(tmp_path):
 
 
 def test_resume_refuses_short_output(tmp_path, capsys):
-    out, ck = tmp_path / "s.csv", tmp_path / "s.ck"
-    argv = ["scan", "--end", "5000", "--chunk-size", "1000",
-            "--out", str(out), "--checkpoint", str(ck)]
-    assert main(argv + ["--max-chunks", "2"]) == 0
+    argv, out, ck = _ledger_scan(tmp_path, 2)
+    size = out.stat().st_size
     with open(out, "r+b") as fh:
         fh.truncate(3000)  # lost the tail the ledger vouches for
-    assert main(argv) == 3
-    assert "checkpoint error" in capsys.readouterr().err
-    assert out.stat().st_size == 3000
-    assert b"\0" not in out.read_bytes()
+    err = _assert_refused(argv, out, ck, capsys)
+    assert f"records {size} output bytes, but output {str(out)!r} has 3000" in err
 
 
 def test_resume_rejects_mismatched_config(tmp_path):
@@ -287,15 +284,27 @@ def test_resume_rejects_corrupt_checkpoint(tmp_path):
                           _SCAN_HEADER, out)
 
 
-def test_resume_requires_output_file(tmp_path):
-    out = tmp_path / "b.csv"
-    ck = tmp_path / "b.ck"
-    scan_to_csv("scan", ScanConfig(start=2, end=3000, chunk_size=500,
-                                   checkpoint_path=str(ck)), str(out), max_chunks=2)
-    os.unlink(out)
-    with pytest.raises(CheckpointError):
-        scan_to_csv("scan", ScanConfig(start=2, end=3000, chunk_size=500,
-                                       checkpoint_path=str(ck)), str(out))
+def test_resume_requires_output_file(tmp_path, capsys):
+    argv, out, ck = _ledger_scan(tmp_path, 2)
+    out.unlink()
+    err = _assert_refused(argv, out, ck, capsys)
+    assert f"exists but output {str(out)!r} is missing" in err and not out.exists()
+
+
+def test_a_symlinked_checkpoint_stays_a_link(tmp_path, capsys):
+    # the ledger is saved beside the link's target and renamed over it
+    (tmp_path / "real").mkdir()
+    link, real, out = tmp_path / "link.ck", tmp_path / "real" / "real.ck", tmp_path / "s.csv"
+    link.symlink_to(real)
+    argv = ["scan", "--end", "50", "--chunk-size", "10", "--out", str(out), "--checkpoint", str(link)]
+    assert main(argv + ["--max-chunks", "1"]) == 0
+    assert link.is_symlink() and real.read_text().splitlines()[1].startswith("1,10,")
+    assert main(argv) == 0
+    assert capsys.readouterr().out.endswith(" complete=1\n")
+    assert link.is_symlink() and len(real.read_text().splitlines()) == 2
+    assert [p.name for p in tmp_path.rglob("*.tmp")] == []
+    assert main(["verify", str(out)]) == 0
+    assert capsys.readouterr().out == "verified 49 rows\n"
 
 
 def test_config_validation():
@@ -346,6 +355,11 @@ def test_a_resumed_fig2_prints_the_uninterrupted_summary(tmp_path, capsys):
 
     ck = tmp_path / "r.ck"
     resumed = argv + ["--out", str(tmp_path / "r.csv"), "--checkpoint", str(ck)]
+    # a fresh run of no chunk writes over what was there: the header, and no ledger
+    (tmp_path / "r.csv").write_text("stale\n" * 1000)
+    assert main(resumed + ["--max-chunks", "0"]) == 0
+    assert capsys.readouterr().out == "rows=0 max_alpha_ratio=- argmax_n=- complete=0\n"
+    assert (tmp_path / "r.csv").read_text() == "n,s,r,r_over_s,pow_ratio\n" and not ck.exists()
     assert main(resumed + ["--max-chunks", "2"]) == 0
     assert capsys.readouterr().out.startswith("rows=500 ")  # the odd n of 3..1002
     assert ck.read_text().splitlines()[1].split(",")[:2] == ["2", "500"]
@@ -364,14 +378,24 @@ def _ledger_scan(tmp_path, done):
     return argv, out, ck
 
 
-def _assert_refused(argv, out, ck, capsys):
-    before = out.read_bytes(), ck.read_bytes()
+def _assert_refused(argv, out, ck, capsys, ending="; delete it to start fresh"):
+    """Run argv, which the ledger must refuse with exit 3 and one short
+    stderr line that names the ledger and ends in `ending`, leaving both
+    files as they were (an absent output stays absent)."""
+    def files():
+        return out.read_bytes() if out.exists() else None, ck.read_bytes()
+
+    before = files()
     capsys.readouterr()
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("checkpoint error: ") and str(ck) in err
-    assert (out.read_bytes(), ck.read_bytes()) == before
+    assert err.count("\n") == 1 and err.endswith(ending + "\n") and len(err) < 1024
+    assert files() == before
     return err
+
+
+_HEADER_REFUSAL = "; fix the arguments or delete it"
 
 
 # fields of the state line: done,count,num/den,argmax,out_bytes,sha256; None drops the field
@@ -397,7 +421,8 @@ def test_resume_refuses_corrupt_ledger_field(tmp_path, capsys, field, value):
     lambda b: b[:-1],                     # the state line without its LF
     lambda b: b[:-3],                     # cut mid-line
     lambda b: b + b.split(b"\n")[1] + b"\n",  # a second state line
-], ids=["cut-lf", "cut-mid-line", "two-state-lines"])
+    lambda b: b.split(b"\n")[0] + b"\n" + b"x" * 10 ** 6 + b"\n",  # quoted cut short
+], ids=["cut-lf", "cut-mid-line", "two-state-lines", "long-line"])
 def test_resume_refuses_a_ledger_of_another_shape(tmp_path, capsys, edit):
     argv, out, ck = _ledger_scan(tmp_path, 2)
     ck.write_bytes(edit(ck.read_bytes()))
@@ -442,7 +467,7 @@ def test_resume_refuses_an_older_ledger(tmp_path, capsys, version):
     head, rest = ck.read_text().split("\n", 1)
     magic, _, cfg_hash = head.split()
     ck.write_text(f"{magic} {version} {cfg_hash}\n{rest}")
-    err = _assert_refused(argv, out, ck, capsys)
+    err = _assert_refused(argv, out, ck, capsys, _HEADER_REFUSAL)
     assert repr(f"{magic} {version} {cfg_hash}") in err and repr(head) in err
 
 
@@ -452,8 +477,8 @@ def test_resume_refuses_a_ledger_written_under_another_step_cap(tmp_path, capsys
         m.setattr(core, "DEFAULT_STEP_CAP", 10 ** 5)
         argv, out, ck = _ledger_scan(tmp_path, 1)
     head = ck.read_text().split("\n", 1)[0]
-    err = _assert_refused(argv, out, ck, capsys)
-    assert repr(head) in err and "fix the arguments or delete it" in err
+    err = _assert_refused(argv, out, ck, capsys, _HEADER_REFUSAL)
+    assert repr(head) in err
 
 
 def test_resume_refuses_ledger_that_is_no_header_prefix(tmp_path, capsys):
@@ -462,7 +487,8 @@ def test_resume_refuses_ledger_that_is_no_header_prefix(tmp_path, capsys):
     head = ck.read_text().split("\n", 1)[0]
     for cut in (b"hello", head[:-1].encode()):
         ck.write_bytes(cut)
-        assert f"has header {cut.decode()!r}" in _assert_refused(argv, out, ck, capsys)
+        err = _assert_refused(argv, out, ck, capsys, _HEADER_REFUSAL)
+        assert f"has header {cut.decode()!r}" in err
 
 
 def test_ledger_is_sealed_by_the_v5_rule(tmp_path):

@@ -16,9 +16,11 @@ for neither) and a status, the first of these that holds:
 
   gain        the change won at least 9 in 10 pairs and its median beats
               the parent's by more than the parent's IQR;
+  unresolved  the parent's IQR is wider than the metric's bound (a
+              fraction of the parent's median), so a gap of the bound
+              cannot be told from the parent's own spread;
   worse       the change's median is worse than the parent's by more than
-              the metric's bound (a fraction of the parent's median);
-  unresolved  the parent's IQR is wider than the bound;
+              the bound;
   no change   otherwise.
 
 Stdlib only; nothing under perfbench/ is imported.
@@ -87,10 +89,10 @@ def metric_summary(parent: dict[int, float], change: dict[int, float],
     gap = sign * (c_med - p_med)  # positive = the change is better
     if seeds and won >= GAIN_SHARE * len(seeds) and gap > iqr:
         status = "gain"
-    elif gap < -bound * abs(p_med):
-        status = "worse"
     elif iqr > bound * abs(p_med):
         status = "unresolved"
+    elif gap < -bound * abs(p_med):
+        status = "worse"
     else:
         status = "no change"
     return {"parent_median": p_med, "change_median": c_med,
