@@ -56,4 +56,3 @@ class CycleDetectedError(CollatzStopError, ArithmeticError):
 
 class CheckpointError(CollatzStopError):
     """A scan checkpoint is missing, corrupt, or does not match the scan."""
-
