@@ -7,8 +7,11 @@ least four.  For an odd m < 2^s whose stopping word q has length s, every
 n = 2^s(3j+k) + m, k in {0,1,2}, shares the prefix q and descends the same
 way, so one census row covers three arithmetic progressions of starters.
 The census's rules are decided here, for `table3` and `verify` alike:
-`census` checks a window and orders its rows, and `census_word` takes one
-row's (s, m) by the walk `enumerate_minimal` makes.
+`enumerate_minimal` finds the candidates of one length by the exact sieve
+of residue classes mod 2^j (Terras 1976; Oliveira e Silva 2010), walking
+only the classes that have not yet descended; `census` checks a window and
+orders its rows; and one walk, `_minimal_word`, decides each row for the
+census and for `census_word` alike.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .core import descend, walk
 from .errors import DomainError, check_cap
 from .sequences import ParitySequence, word_bits
 
-CENSUS_CAP = 24  # a census of length s walks 2^(s-2) residues
+CENSUS_CAP = 24  # the sieve to depth 24 walks 367,697 living classes
 Q_CAP = 15  # table 2 blanks a word longer than this
 
 _MOD3 = ("3i", "3i+1", "3i+2")
@@ -89,20 +92,47 @@ def _minimal_word(m: int, s: int) -> ParitySequence | None:
     return ParitySequence(word_bits(word, s)) if steps == s and not capped else None
 
 
+def _dying_classes(s: int) -> list[list[int]]:
+    """The classes c mod 2^j, c = 3 mod 4, that die at depth j, for each
+    j <= s: the sieve of Terras (1976) and Oliveira e Silva (2010), walked
+    depth first over the classes that have not yet descended.
+
+    A node (j, c, v, p) stands for T^j(c + 2^j k) = p k + v with p = 3^r,
+    r the odd steps among the j; its lifts c and c + 2^j enter step j + 1
+    from v and v + p.  A class dies once v < c: v = (3^r c + w) / 2^j with
+    w >= 0, so then 3^r < 2^j as well, and every member has descended
+    within j steps.  A dead class is not lifted further.
+    """
+    dying = [[] for _ in range(s + 1)]
+    stack = [(2, 3, 8, 9)] if s > 2 else []  # T^2(3 + 4k) = 9k + 8
+    while stack:
+        j, c, v, p = stack.pop()
+        for c, u in ((c, v), (c + (1 << j), v + p)):
+            v1, p1 = ((3 * u + 1) >> 1, 3 * p) if u & 1 else (u >> 1, p)
+            if v1 < c:
+                dying[j + 1].append(c)
+            elif j + 1 < s:
+                stack.append((j + 1, c, v1, p1))
+    return dying
+
+
 def enumerate_minimal(s: int) -> list[tuple[int, ParitySequence]]:
     """All odd m < 2^s with stopping time exactly s, with their words,
     ascending in m.
 
-    Brute force over the residues m = 3 mod 4, each walked at most s steps,
-    so the census is its own oracle.  No m = 1 mod 4 is ever in a census:
-    m = 1 never descends, every other one descends in exactly two steps
-    (two_step_reduce), and the only odd m below 2^2 is 1.  Empty whenever
-    no r satisfies 2^(s-1) < 3^r < 2^s.
+    An m that stops in exactly s steps lies in a class that is alive at
+    every depth j < s, as m itself has not descended, and that dies at s.
+    So the classes dying at depth s are the only candidates, and
+    _minimal_word decides each one: the walk, not the class, makes a row.
+    No m = 1 mod 4 is ever in a census: m = 1 never descends, every other
+    one descends in exactly two steps (two_step_reduce), and the only odd m
+    below 2^2 is 1.  Empty whenever no r satisfies 2^(s-1) < 3^r < 2^s.
     """
     if s < 1:
         raise DomainError(f"s must be >= 1, got {s}")
     check_cap("census of length", s, CENSUS_CAP)
-    return [(m, q) for m in range(3, 1 << s, 4) if (q := _minimal_word(m, s)) is not None]
+    return [(m, q) for m in sorted(_dying_classes(s)[s])
+            if (q := _minimal_word(m, s)) is not None]
 
 
 def census(s_min: int, s_max: int) -> Iterator[tuple[int, int, ParitySequence]]:

@@ -136,10 +136,11 @@ def _span(cfg: ScanConfig, lo: int) -> tuple[int, int]:
 def _chunk_results(cfg: ScanConfig, chunks: range) -> Iterator[tuple[list, ScanStats]]:
     """Results for the given chunks, in order, parallel when asked."""
     args = ((*_span(cfg, lo), _RESIDUE[cfg.class_filter], core.DEFAULT_STEP_CAP) for lo in chunks)
-    if cfg.workers == 1 or len(chunks) <= 1:
+    procs = min(cfg.workers, len(chunks), os.cpu_count() or 1)  # no idle workers, none past the CPUs
+    if procs <= 1:
         yield from map(_chunk_worker, args)
         return
-    with multiprocessing.get_context("fork").Pool(min(cfg.workers, len(chunks))) as pool:  # no idle workers
+    with multiprocessing.get_context("fork").Pool(procs) as pool:
         yield from pool.imap(_chunk_worker, args, chunksize=1)
 
 

@@ -8,7 +8,16 @@ from collatzstop import (
     is_parity_prefix, parse_sequence, shortcut_step, stopping_record,
     table2_rows, two_step_reduce,
 )
+from collatzstop.core import walk
+from collatzstop.residues import _dying_classes, _minimal_word, census
 from reference_tables import TABLE2, TABLE2_DEFECTS, TABLE3
+
+
+def oracle_minimal(s):
+    """The census of length s by brute force over every m = 3 mod 4 below
+    2^s, each walked at most s steps: what the sieve replaced, kept here as
+    the oracle."""
+    return [(m, q) for m in range(3, 1 << s, 4) if (q := _minimal_word(m, s)) is not None]
 
 
 def test_classify_examples():
@@ -104,6 +113,30 @@ def test_census_cap():
         enumerate_minimal(25)
     with pytest.raises(DomainError):
         enumerate_minimal(0)
+
+
+def test_census_equals_the_brute_force_oracle_through_length_20():
+    oracle = {s: oracle_minimal(s) for s in range(1, 21)}
+    for s, rows in oracle.items():
+        assert enumerate_minimal(s) == rows, s
+    # census orders by s, then by class mod 12, then by m
+    want = sorted(((s, m, q) for s in range(4, 21) for m, q in oracle[s]),
+                  key=lambda row: (row[0], row[1] % 12, row[1]))
+    assert list(census(4, 20)) == want
+    assert len(want) == 4402
+
+
+def test_every_class_the_sieve_drops_has_descended():
+    # the census tests catch a wrong prune only when it loses a row; this
+    # pins the death rule itself on every member below 2^16
+    members = 0
+    for j, classes in enumerate(_dying_classes(16)):
+        for c in classes:
+            for n in range(c, 1 << 16, 1 << j):
+                steps, _, _, _, value, capped = walk(n, j)
+                assert value < n and steps <= j and not capped, (j, c, n)
+                members += 1
+    assert members == 14270  # of the 16,384 n = 3 mod 4 below 2^16
 
 
 def test_census_matches_reference_through_length_10():

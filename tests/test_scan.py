@@ -46,9 +46,9 @@ def test_worker_count_is_invisible(tmp_path):
     assert stats1 == stats8
 
 
-def test_pool_starts_no_idle_workers(tmp_path, monkeypatch):
-    # a stand-in context records the pool size and maps in this process,
-    # so the test itself starts no worker
+def inline_pool(monkeypatch) -> list[int]:
+    """A stand-in pool context that records each pool size it is asked for
+    and maps in this process, so a test starts no worker; the sizes."""
     sizes = []
 
     class InlinePool:
@@ -68,6 +68,12 @@ def test_pool_starts_no_idle_workers(tmp_path, monkeypatch):
         Pool = InlinePool
 
     monkeypatch.setattr(scan_mod.multiprocessing, "get_context", lambda method: InlineContext)
+    return sizes
+
+
+def test_pool_starts_no_idle_workers(tmp_path, monkeypatch):
+    sizes = inline_pool(monkeypatch)
+    monkeypatch.setattr(scan_mod.os, "cpu_count", lambda: 16)  # more CPUs than chunks
     out1, out8 = tmp_path / "w1.csv", tmp_path / "w8.csv"
     scan_to_csv("scan", ScanConfig(start=2, end=3001, chunk_size=1000, workers=1), str(out1))
     assert sizes == []  # one worker runs without a pool
@@ -75,6 +81,20 @@ def test_pool_starts_no_idle_workers(tmp_path, monkeypatch):
                               str(out8))
     assert sizes == [3] and done and stats.count == 3000
     assert out8.read_bytes() == out1.read_bytes()
+
+
+@pytest.mark.parametrize("cpus, pools", [(3, [3]), (1, []), (None, [])])
+def test_pool_never_outnumbers_the_cpus(tmp_path, monkeypatch, cpus, pools):
+    # 100,000 workers over 199 one-row chunks ask for no more processes
+    # than the CPUs; an unknown CPU count counts as one, which needs no pool
+    sizes = inline_pool(monkeypatch)
+    monkeypatch.setattr(scan_mod.os, "cpu_count", lambda: cpus)
+    out1, out_many = tmp_path / "w1.csv", tmp_path / "many.csv"
+    scan_to_csv("scan", ScanConfig(start=2, end=200, chunk_size=1, workers=1), str(out1))
+    stats, done = scan_to_csv("scan", ScanConfig(start=2, end=200, chunk_size=1, workers=100_000),
+                              str(out_many))
+    assert sizes == pools and done and stats.count == 199
+    assert out_many.read_bytes() == out1.read_bytes()
 
 
 def test_chunk_size_is_invisible():
