@@ -25,7 +25,7 @@ r = 306
 s = unique_s_for_r(r)
 print(f"  s for r=306: {s}")
 print(f"  3^r/2^s = {3 ** r / 2 ** s:.9f}")
-print(f"  upper bound at alpha=40: {float(cycle_upper_bound(r, s, 40)):.1f}")
+print(f"  upper bound at alpha=40: {float(cycle_upper_bound(r, s)):.1f}")
 print(f"  lower floor:             {cycle_lower_bound(r, s)}")
 
 print("\nhow tight can 2^s - 3^r get?  a transcendence-theory floor says")
@@ -34,5 +34,5 @@ print(f"  1 - 3^r/2^s >= (e s)^-C with C = {C}")
 print(f"  at s=485 that floor has log10 about {matveev_log10_gap_bound(485):.3e}")
 
 print("\nvalue band for a stopping walk from m=7 (r=4, s=7):")
-lo, hi = stopping_number_bounds(7, 4, 7, 40)
+lo, hi = stopping_number_bounds(7, 4, 7)
 print(f"  {lo} <= value/m < {hi}; actual value/m = 5/7")

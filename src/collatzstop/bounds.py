@@ -17,6 +17,8 @@ on a cycle word, RECORD_S_CAP on a record's s, BOUND_R_CAP on a bound's r.
 The rules a report's rows obey are decided here, once, for the producer and
 `verify` alike: `fixed_point` takes a cycles row's word, `ratio_record`
 a table4 row's pair, and `gap_falls` orders one record after another.
+The cycle-number bounds read one envelope, ALPHA, and no caller chooses
+another, so a cycles or bounds row's alpha cell re-derives like any other.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ DIGITS = 50  # the working precision: every decimal result has this many signifi
 _GUARD_DIGITS = 10  # working digits beyond the result's before it is rounded
 
 # the envelope W / (3^(r-1) - 2^(r-1)) <= ALPHA: observed, not proven; scans
-# report each breach, and the cycle-number bounds take it as their default
+# report each breach, and it is the one alpha of the cycle-number bounds, so
+# the alpha cell of every cycles and bounds row is this value, re-derived by `verify`
 ALPHA = 40
 
 CYCLE_CAP = 20  # the word tree of a cycle search grows as 2^s
@@ -197,19 +200,9 @@ def enumerate_cycle_candidates(s_max: int) -> list[CycleCandidate]:
     return found
 
 
-def envelope_alpha(alpha: Fraction | int) -> Fraction:
-    """alpha as a Fraction, checked positive: the envelope bounds the
-    positive ratio W / (3^(r-1) - 2^(r-1)), so no alpha <= 0 bounds it."""
-    alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise DomainError(f"alpha must be > 0, got {alpha}")
-    return alpha
-
-
-def cycle_upper_bound(r: int, s: int, alpha: Fraction | int = ALPHA) -> Fraction:
-    """alpha * (3^(r-1) - 2^(r-1)) / (2^s - 3^r), exact; alpha must be > 0."""
-    alpha = envelope_alpha(alpha)
-    return alpha * Fraction(lower_unit_numerator(r), _cycle_denominator(s, r))
+def cycle_upper_bound(r: int, s: int) -> Fraction:
+    """ALPHA * (3^(r-1) - 2^(r-1)) / (2^s - 3^r), exact."""
+    return ALPHA * Fraction(lower_unit_numerator(r), _cycle_denominator(s, r))
 
 
 def cycle_lower_bound(r: int, s: int) -> Decimal:
@@ -251,22 +244,19 @@ def matveev_log10_gap_bound(s: int) -> float:
     return -matveev_constant() * math.log10(math.e * s)
 
 
-def stopping_number_bounds(m: int, r: int, s: int,
-                           alpha: Fraction | int = ALPHA) -> tuple[Fraction, Fraction]:
+def stopping_number_bounds(m: int, r: int, s: int) -> tuple[Fraction, Fraction]:
     """Exact band for value/m of a stopping walk from odd m:
 
-        3^r/2^s + U/(2^s m)  <=  value/m  <  3^r/2^s + alpha * U/(2^s m)
+        3^r/2^s + U/(2^s m)  <=  value/m  <  3^r/2^s + ALPHA * U/(2^s m)
 
-    with U = 3^(r-1) - 2^(r-1).  The alpha side is the observed envelope,
-    not a theorem; alpha = 1 collapses the band onto the floor, and alpha
-    must be > 0.
+    with U = 3^(r-1) - 2^(r-1).  The ALPHA side is the observed envelope,
+    not a theorem.
     """
     if m < 3 or not (m & 1):
         raise DomainError(f"m must be odd and >= 3, got {m}")
-    alpha = envelope_alpha(alpha)
     base = Fraction(3 ** r, 1 << s)
     unit = Fraction(lower_unit_numerator(r), (1 << s) * m)
-    return base + unit, base + alpha * unit
+    return base + unit, base + ALPHA * unit
 
 
 def ratio_record(s: int, r: int) -> RatioRecord:

@@ -10,10 +10,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 from . import reports
-from .bounds import ALPHA, DEFAULT_RECORDS_START
+from .bounds import DEFAULT_RECORDS_START
 from .errors import (CheckpointError, CycleDetectedError, DomainError,
                      LimitError)
 from .scan import CLASS_FILTERS, ScanConfig
@@ -26,15 +25,6 @@ class UsageError(Exception):
 class Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits with code 2
         raise UsageError(message)
-
-
-def _fraction(text: str) -> Fraction:
-    """type=Fraction, with a zero denominator the usage error any other bad
-    value gives: argparse turns only ValueError and TypeError into one."""
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
 
 
 def _emit(report: reports.Report, args) -> int:
@@ -111,14 +101,12 @@ def build_parser() -> Parser:
     p.add_argument("--s-min", type=int, default=DEFAULT_RECORDS_START)
 
     p = _report_command(sub, "cycles", "integer fixed-point candidates over all words",
-                        lambda a: reports.cycles_report(a.s_max, a.alpha))
+                        lambda a: reports.cycles_report(a.s_max))
     p.add_argument("--s-max", type=int, required=True)
-    p.add_argument("--alpha", type=_fraction, default=Fraction(ALPHA))
 
     p = _report_command(sub, "bounds", "cycle-number bound curves for r = 1..R",
-                        lambda a: reports.bounds_report(a.r_max, a.alpha))
+                        lambda a: reports.bounds_report(a.r_max))
     p.add_argument("--r", dest="r_max", type=int, required=True)
-    p.add_argument("--alpha", type=_fraction, default=Fraction(ALPHA))
 
     _scan_command(sub, "scan", "stopping records over a range, to CSV",
                   start=2, end=10 ** 5, cls="all")

@@ -218,16 +218,14 @@ def table4_report(s_max: int, s_min: int = bnd.DEFAULT_RECORDS_START) -> Report:
 _CYCLES_HEADER = "s,r,q,numerator,denominator,m1,alpha,m1_upper"
 
 
-def _cycles_row(cand: bnd.CycleCandidate, alpha: Fraction) -> Row:
-    upper = bnd.cycle_upper_bound(cand.q.r, cand.q.s, alpha)
+def _cycles_row(cand: bnd.CycleCandidate) -> Row:
+    upper = bnd.cycle_upper_bound(cand.q.r, cand.q.s)
     return [cand.q.s, cand.q.r, cand.q.bits, cand.numerator, cand.denominator,
-            str(cand.m1), str(alpha), str(upper)]
+            str(cand.m1), str(bnd.ALPHA), str(upper)]
 
 
-def cycles_report(s_max: int, alpha: Fraction | int = bnd.ALPHA) -> Report:
-    alpha = bnd.envelope_alpha(alpha)  # checked before any row, so nothing is written
-    return Report(_CYCLES_HEADER, [_cycles_row(cand, alpha)
-                                   for cand in bnd.enumerate_cycle_candidates(s_max)])
+def cycles_report(s_max: int) -> Report:
+    return Report(_CYCLES_HEADER, [_cycles_row(c) for c in bnd.enumerate_cycle_candidates(s_max)])
 
 
 # ---------------------------------------------------------------- bounds
@@ -235,27 +233,27 @@ def cycles_report(s_max: int, alpha: Fraction | int = bnd.ALPHA) -> Report:
 _BOUNDS_HEADER = "r,s,alpha,pow_ratio,m1_upper,m1_lower,lower_positive"
 
 
-def _bounds_row(r: int, alpha: Fraction) -> Row:
+def _bounds_row(r: int) -> Row:
     check_cap("bound at r =", r, bnd.BOUND_R_CAP)
     s = bnd.unique_s_for_r(r)
-    upper = bnd.cycle_upper_bound(r, s, alpha)
+    upper = bnd.cycle_upper_bound(r, s)
     lower = bnd.cycle_lower_bound(r, s)
-    return [r, s, str(alpha), render_ratio(3 ** r, 1 << s),
+    return [r, s, str(bnd.ALPHA), render_ratio(3 ** r, 1 << s),
             render_ratio(upper.numerator, upper.denominator), render_sig(lower),
             int(lower > 0)]
 
 
-def bounds_report(r_max: int, alpha: Fraction | int = bnd.ALPHA) -> Report:
-    """Cycle-number bound curves for r = 1 .. r_max at each r's unique s.
+def bounds_report(r_max: int) -> Report:
+    """Cycle-number bound curves for r = 1 .. r_max at each r's unique s,
+    at the one envelope bounds.ALPHA.
 
-    The arguments are checked before any row is built, so nothing is
-    written for a report that cannot complete.
+    r_max is checked before any row is built, so nothing is written for a
+    report that cannot complete.
     """
     if r_max < 1:
         raise DomainError(f"r must be >= 1, got {r_max}")
     check_cap("bound at r =", r_max, bnd.BOUND_R_CAP)
-    alpha = bnd.envelope_alpha(alpha)
-    return Report(_BOUNDS_HEADER, (_bounds_row(r, alpha) for r in range(1, r_max + 1)))
+    return Report(_BOUNDS_HEADER, (_bounds_row(r) for r in range(1, r_max + 1)))
 
 
 # ---------------------------------------------------------------- scans
@@ -459,8 +457,8 @@ def verify_csv(path: str) -> int:
     bounds.fixed_point for cycles, bounds.ratio_record for table4), under
     the producer's constants (core.DEFAULT_STEP_CAP on every walk and traj
     row; sequences.WORD_CAP; residues.Q_CAP, CENSUS_CAP; bounds.CYCLE_CAP,
-    RECORD_S_CAP, BOUND_R_CAP), each length cap checked before the row's
-    arithmetic starts.  Three rules span rows: traj rows must follow the
+    RECORD_S_CAP, BOUND_R_CAP; bounds.ALPHA in every cycles and bounds row),
+    each length cap checked before the row's arithmetic starts.  Three rules span rows: traj rows must follow the
     walk from the first row's n, step 1, 2, 3, ..., and may not go past the
     point where it reaches 1 (a traj file that stops early still verifies,
     since `traj --limit` writes one); each table4 row after the first must
@@ -499,8 +497,8 @@ def verify_csv(path: str) -> int:
         _TABLE3_HEADER: lambda c: _table3_row(int(c[0]), int(c[7]),
                                               res.census_word(int(c[0]), int(c[7]))),
         _TABLE4_HEADER: table4_row,
-        _CYCLES_HEADER: lambda c: _cycles_row(bnd.fixed_point(parse_sequence(c[2])), Fraction(c[6])),
-        _BOUNDS_HEADER: lambda c: _bounds_row(int(c[0]), Fraction(c[2])),
+        _CYCLES_HEADER: lambda c: _cycles_row(bnd.fixed_point(parse_sequence(c[2]))),
+        _BOUNDS_HEADER: lambda c: _bounds_row(int(c[0])),
         _STOP_HEADER: lambda c: _stop_row(int(c[0])),
         _TRAJ_HEADER: traj_row,
         _SEQ_HEADER: lambda c: _seq_row(c[0], None),

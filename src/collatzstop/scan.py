@@ -26,6 +26,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NoReturn
@@ -63,6 +64,9 @@ class ScanConfig:
             raise DomainError("workers must be >= 1")
         if self.chunk_size < 1:
             raise DomainError("chunk_size must be >= 1")
+        # a range of more chunks than sys.maxsize has no len()
+        if (self.end - self.start) // self.chunk_size >= sys.maxsize:
+            raise DomainError(f"a scan may have at most {sys.maxsize} chunks; raise chunk_size")
 
 
 @dataclass

@@ -99,7 +99,7 @@ def test_c04_record_pair_306_485():
     bracket = (1 << 484) < 3 ** 306 < (1 << 485)
     ratio = 3 ** 306 / 2 ** 485
     ratio_ok = abs(ratio - 0.9989783) <= 5e-7
-    bound = cycle_upper_bound(306, 485, 40)
+    bound = cycle_upper_bound(306, 485)
     bound_ok = abs(float(bound) - 13036.6) <= 0.1
     elapsed = time.perf_counter() - t0
     _gate(4, "pair (r,s)=(306,485): exact power bracket, ratio 0.9989783+-5e-7, "

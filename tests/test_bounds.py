@@ -137,12 +137,12 @@ def test_cli_cycles_through_20_is_pinned(tmp_path):
 
 
 def test_cycle_upper_bound_examples():
-    assert cycle_upper_bound(1, 2, 40) == 0
-    assert cycle_upper_bound(7, 12, 40) == Fraction(40 * 665, 1909)
-    big = cycle_upper_bound(306, 485, 40)
+    assert cycle_upper_bound(1, 2) == 0
+    assert cycle_upper_bound(7, 12) == Fraction(40 * 665, 1909)
+    big = cycle_upper_bound(306, 485)
     assert abs(float(big) - 13036.6) < 0.1
     with pytest.raises(DomainError):
-        cycle_upper_bound(2, 3, 40)
+        cycle_upper_bound(2, 3)
 
 
 def _lower_oracle(r, s):
@@ -188,26 +188,15 @@ def test_matveev_log10_gap_bound():
 
 
 def test_stopping_number_bounds_examples():
-    lower, upper = stopping_number_bounds(7, 4, 7, 40)
+    lower, upper = stopping_number_bounds(7, 4, 7)
     assert lower == Fraction(81, 128) + Fraction(19, 128 * 7)
     assert lower < Fraction(5, 7) < upper
-    lower, upper = stopping_number_bounds(3, 2, 4, 40)
+    lower, upper = stopping_number_bounds(3, 2, 4)
     assert lower == Fraction(9, 16) + Fraction(1, 48)
     assert upper == Fraction(9, 16) + Fraction(40, 48)
     assert lower < Fraction(2, 3) < upper
-    lower, upper = stopping_number_bounds(7, 4, 7, 1)
-    assert lower == upper
     with pytest.raises(DomainError):
-        stopping_number_bounds(4, 2, 4, 40)
-
-
-@pytest.mark.parametrize("alpha", [0, -1, Fraction(-7, 3)])
-def test_envelope_bounds_refuse_non_positive_alpha(alpha):
-    # the envelope bounds the positive ratio W/U, so no alpha <= 0 bounds it
-    with pytest.raises(DomainError, match="alpha must be > 0"):
-        cycle_upper_bound(7, 12, alpha)
-    with pytest.raises(DomainError, match="alpha must be > 0"):
-        stopping_number_bounds(7, 4, 7, alpha)
+        stopping_number_bounds(4, 2, 4)
 
 
 def test_ratio_records_first_rows():

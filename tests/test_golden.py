@@ -28,11 +28,11 @@ CASES = {
     "table4-records": ["table4", "--s-max", "302000"],
     "table4-json": ["table4", "--s-max", "2000", "--json"],
     "cycles": ["cycles", "--s-max", "12"],
-    "cycles-alpha": ["cycles", "--s-max", "10", "--alpha", "7/2"],
+    "cycles-alpha": ["cycles", "--s-max", "10"],  # the alpha cells are bounds.ALPHA
     "cycles-json": ["cycles", "--s-max", "8", "--json"],
     "cycles-20": ["cycles", "--s-max", "20"],
     "bounds": ["bounds", "--r", "40"],
-    "bounds-args": ["bounds", "--r", "15", "--alpha", "3"],
+    "bounds-args": ["bounds", "--r", "15"],
     "bounds-json": ["bounds", "--r", "10", "--json"],
     "stop": ["stop", "27"],
     "stop-cap": ["stop", "423"],
@@ -70,11 +70,11 @@ DIGESTS = {
     "table4-records": "4e8703cb28e20717994462cac684f2f9b2c2ba57652b195941e68f1793717fd5",
     "table4-json": "72707c28734bea195f4e666c7e4ab65f89e324f357df76ff79247a3ca301d38a",
     "cycles": "c10a8e5e90a7fa6f7f9faa9a92706614fba2bba7f3b80a3aac74be9154ea6f7c",
-    "cycles-alpha": "3a15375aa48d2663459e2e0980a896739d3ae2044ba5f821bd5647c9eb923b7e",
+    "cycles-alpha": "f14e295e94db536cd737d519261069b0231d4411cfe94144cf2648d40d430b4f",
     "cycles-json": "f76bd4142de72eee849e5a041a62243755b5e562c3d1f6e5b6ef0c3931fa43f6",
     "cycles-20": "f00ef8cbe1fd640e9943fb435de3eab1619f41b22136b5067489b13e23b7d86b",
     "bounds": "5fcdd10d9497ed81413a32ff54ad29a32c11cd31f69be8dedfea37865eac5018",
-    "bounds-args": "8447ebf4bba64797b99777073a0f9330a72bb4afc283d1f01993195b451a9418",
+    "bounds-args": "bcaf421264418f6779d0065d1f2b81ed5176f186798e7a5546eda9f280318d28",
     "bounds-json": "55375a1921f90b1045b8bc405b9eb44ce8111e9e72744073e71b587024d5726d",
     "stop": "0e7d9570d53c0361505f75ebae8aa9878be57ef458c9c721ef43f0dec09c4050",
     "stop-cap": "be115597029a7dca71302e759c64edeefed809ede9be7baa9d0d4ef0d2c6875b",

@@ -15,7 +15,7 @@ from collatzstop import core
 from collatzstop.bounds import cycle_candidate, cycle_upper_bound, log3_2, matveev_constant
 from collatzstop.cli import main
 from collatzstop.core import stopping_record
-from collatzstop.errors import DomainError
+from collatzstop.errors import CollatzStopError, DomainError
 from collatzstop.reports import (
     Report, VerifyError, _printable, bounds_report, cycles_report, render_sig,
     scan_to_csv, seq_report, stop_report, table1_report,
@@ -77,14 +77,14 @@ def test_table4_first_row():
 
 
 def test_cycles_report():
-    lines = csv_text(cycles_report(6, 40)).splitlines()
+    lines = csv_text(cycles_report(6)).splitlines()
     assert lines[0] == "s,r,q,numerator,denominator,m1,alpha,m1_upper"
     assert lines[1] == "2,1,10,1,1,1,40,0"
     assert lines[2] == "4,2,1010,7,7,1,40,40/7"
 
 
 def test_bounds_report():
-    lines = csv_text(bounds_report(3, 40)).splitlines()
+    lines = csv_text(bounds_report(3)).splitlines()
     assert lines[0] == "r,s,alpha,pow_ratio,m1_upper,m1_lower,lower_positive"
     r, s, alpha, pow_ratio, upper, lower, positive = lines[1].split(",")
     assert (r, s, alpha) == ("1", "2", "40")
@@ -125,8 +125,8 @@ def test_csv_byte_identical_reruns(tmp_path):
     lambda: table2_report(467),
     lambda: table3_report(4, 10),
     lambda: table4_report(2000),
-    lambda: cycles_report(10, 40),
-    lambda: bounds_report(10, 40),
+    lambda: cycles_report(10),
+    lambda: bounds_report(10),
     lambda: stop_report(27),
     lambda: traj_report(27, 100),
     lambda: seq_report("1110100"),
@@ -137,6 +137,36 @@ def test_verify_roundtrip(tmp_path, build):
     with open(path, "wb") as fh:
         write_csv(build(), fh)
     assert verify_csv(str(path)) > 0
+
+
+def _single_byte_mutants(data: bytes) -> set[bytes]:
+    """data with one byte deleted, doubled, or replaced by one of `0159,-/.`,
+    LF, `x` and `a`; data itself is left out."""
+    mutants = set()
+    for i in range(len(data)):
+        head, byte, tail = data[:i], data[i:i + 1], data[i + 1:]
+        news = (b"", byte * 2, *(bytes([c]) for c in b"0159,-/.\nxa"))
+        mutants.update(head + new + tail for new in news)
+    mutants.discard(data)
+    return mutants
+
+
+@pytest.mark.parametrize("argv", [["cycles", "--s-max", "8"], ["bounds", "--r", "4"]],
+                         ids=["cycles", "bounds"])
+def test_verify_refuses_every_single_byte_mutant(tmp_path, argv):
+    # every row's alpha cell included, the r = 1 row's too, whose unit 0 makes
+    # m1_upper 0 at any alpha
+    path = tmp_path / "o.csv"
+    assert main(argv + ["--out", str(path)]) == 0
+    survivors = []
+    for mutant in sorted(_single_byte_mutants(path.read_bytes())):
+        path.write_bytes(mutant)
+        try:
+            verify_csv(str(path))
+        except CollatzStopError:
+            continue
+        survivors.append(mutant.decode("ascii"))
+    assert survivors == []
 
 
 @pytest.mark.parametrize("kind,cfg", [
@@ -219,7 +249,7 @@ def _cycles_key_row(draw) -> str:
     except DomainError:
         return f"{q.s},{q.r},{bits},0,1,0,40,0"
     return ",".join(map(str, (q.s, q.r, bits, c.numerator, c.denominator,
-                              c.m1, 40, cycle_upper_bound(q.r, q.s, 40))))
+                              c.m1, 40, cycle_upper_bound(q.r, q.s))))
 
 
 # kind -> (header, rows of a run that covers every drawn key, key row);
@@ -303,12 +333,6 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["table2"]) == 1          # missing required --max-n
     assert main(["seq", "10x"]) == 2
     assert main(["cycles", "--s-max", "99"]) == 2
-    for cmd in (["cycles", "--s-max", "6"], ["bounds", "--r", "3"]):
-        capsys.readouterr()
-        # a zero denominator is the usage error any other bad value is
-        assert main(cmd + ["--alpha", "1/0"]) == 1
-        assert capsys.readouterr().err == (
-            "usage error: argument --alpha: invalid Fraction value: '1/0'\n")
     bad_ck = tmp_path / "bad.ck"
     bad_ck.write_text("garbage\n")
     assert main(["scan", "--start", "2", "--end", "50",
@@ -413,10 +437,12 @@ _FIG3_19 = "19,4,2,0.562500000000000,0.312500000000000,0.0625000000000000,5.0000
      "3 does not stop in exactly 5 steps"),
     ("n,step,value,parity\n5,1,8,1\n5,2,4,0\n5,3,2,0\n5,4,1,0\n5,5,2,1\n", 6,
      "the walk from 5 has already reached 1"),
+    # the alpha cell is bounds.ALPHA, even where the r = 1 unit makes m1_upper 0 at any alpha
     ("s,r,q,numerator,denominator,m1,alpha,m1_upper\n2,1,10,1,1,1,-1,0\n", 2,
-     "alpha must be > 0, got -1"),
+     "does not re-derive; expected '2,1,10,1,1,1,40,0'"),
     ("r,s,alpha,pow_ratio,m1_upper,m1_lower,lower_positive\n"
-     "1,2,0,0.750000000000000,0,-0.199023144560607,0\n", 2, "alpha must be > 0, got 0"),
+     "1,2,0,0.750000000000000,0,-0.199023144560607,0\n", 2,
+     "does not re-derive; expected '1,2,40,0.750000000000000,0,-0.199023144560607,0'"),
     ("i,3i,3i+2,3i+1,12i+3,12i+7,12i+11,marks\n-1,-3,-1,-2,-9,-5,-1,-3r -1b\n", 2,
      "i must be >= 0, got -1"),
     ("s,r,3r,2s,3^r,2^s,class,m,q\n"
@@ -529,10 +555,11 @@ def test_cli_verify_empty_file(tmp_path, capsys):
     (["table1", "--rows", "0"], "rows must be >= 1"),
     (["table3", "--s-min", "9", "--s-max", "5"], "need 1 <= s_min <= s_max"),
     (["bounds", "--r", "0"], "r must be >= 1"),
-    (["cycles", "--s-max", "6", "--alpha=-1"], "alpha must be > 0, got -1"),
-    (["cycles", "--s-max", "6", "--alpha", "0"], "alpha must be > 0, got 0"),
-    (["bounds", "--r", "3", "--alpha=-7/3"], "alpha must be > 0, got -7/3"),
-    (["bounds", "--r", "3", "--alpha", "0"], "alpha must be > 0, got 0"),
+    # the cycle-number bounds have one envelope, bounds.ALPHA, and no option to set another
+    (["cycles", "--s-max", "6", "--alpha=-1"], "usage error: unrecognized arguments: --alpha=-1"),
+    (["cycles", "--s-max", "6", "--alpha", "7"], "usage error: unrecognized arguments: --alpha 7"),
+    (["bounds", "--r", "3", "--alpha=-7/3"], "usage error: unrecognized arguments: --alpha=-7/3"),
+    (["bounds", "--r", "3", "--alpha", "3"], "usage error: unrecognized arguments: --alpha 3"),
     (["stop", "1"], "stopping is defined for n >= 2, got 1"),
     (["stop", "-3"], "stopping is defined for n >= 2, got -3"),
     (["scan", "--end", "3000", "--chunk-size", "1000", "--max-chunks", "-1"],
@@ -550,7 +577,7 @@ def test_cli_verify_empty_file(tmp_path, capsys):
 ])
 def test_cli_out_of_domain_arguments_write_nothing(tmp_path, capsys, argv, reason):
     out = tmp_path / "o.csv"
-    assert main(argv + ["--out", str(out)]) == 2
+    assert main(argv + ["--out", str(out)]) == (1 if reason.startswith("usage error: ") else 2)
     assert reason in capsys.readouterr().err
     assert not out.exists()
 

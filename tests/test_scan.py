@@ -1,4 +1,5 @@
 import hashlib
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -337,6 +338,22 @@ def test_config_validation():
     assert scan_mod.CLASS_FILTERS == ("all", "12i+3", "12i+7", "12i+11")
     with pytest.raises(DomainError):
         ScanConfig(start=2, end=10, workers=0)
+
+
+def test_a_scan_of_more_chunks_than_a_range_counts_is_refused(tmp_path, capsys):
+    # len() of a range of more than sys.maxsize chunks overflows; the last
+    # countable scan is accepted, and one more chunk is refused
+    top = 2 + sys.maxsize * 10 - 1  # the last n of chunk number sys.maxsize
+    assert len(scan_mod._chunks(ScanConfig(start=2, end=top, chunk_size=10))) == sys.maxsize
+    with pytest.raises(DomainError, match=f"at most {sys.maxsize} chunks"):
+        ScanConfig(start=2, end=top + 1, chunk_size=10)
+    out, ck = tmp_path / "o.csv", tmp_path / "o.ck"
+    scan = ["scan", "--start", "2", "--end", str(10 ** 29), "--chunk-size", "10", "--out", str(out)]
+    for extra in ([], ["--max-chunks", "1"], ["--checkpoint", str(ck)]):
+        assert main(scan + extra) == 2
+        assert capsys.readouterr().err == (f"error: a scan may have at most {sys.maxsize} "
+                                           "chunks; raise chunk_size\n")
+        assert not out.exists() and not ck.exists()
 
 
 def test_scan_stats_streaming():
