@@ -38,8 +38,8 @@ DIGITS = 50  # the working precision: every decimal result has this many signifi
 _GUARD_DIGITS = 10  # working digits beyond the result's before it is rounded
 
 # the envelope W / (3^(r-1) - 2^(r-1)) <= ALPHA: observed, not proven; scans
-# report each breach, and it is the one alpha of the cycle-number bounds, so
-# the alpha cell of every cycles and bounds row is this value, re-derived by `verify`
+# report each breach, and it is the one alpha of the cycle-number bounds,
+# which every cycles and bounds row prints and `verify` re-derives
 ALPHA = 40
 
 CYCLE_CAP = 20  # the word tree of a cycle search grows as 2^s

@@ -458,10 +458,11 @@ def verify_csv(path: str) -> int:
     the producer's constants (core.DEFAULT_STEP_CAP on every walk and traj
     row; sequences.WORD_CAP; residues.Q_CAP, CENSUS_CAP; bounds.CYCLE_CAP,
     RECORD_S_CAP, BOUND_R_CAP; bounds.ALPHA in every cycles and bounds row),
-    each length cap checked before the row's arithmetic starts.  Three rules span rows: traj rows must follow the
-    walk from the first row's n, step 1, 2, 3, ..., and may not go past the
-    point where it reaches 1 (a traj file that stops early still verifies,
-    since `traj --limit` writes one); each table4 row after the first must
+    each length cap checked before the row's arithmetic starts.  Three
+    rules span rows: traj rows must follow the walk from the first row's n,
+    step 1, 2, 3, ..., and may not go past the point where it reaches 1 (a
+    traj file that stops early still verifies, since `traj --limit` writes
+    one); each table4 row after the first must
     follow the row before it by bounds.gap_falls; and a scan, fig2 or fig3
     file must be exactly what one run writes for the range and class its
     rows imply (`_replayed`).
